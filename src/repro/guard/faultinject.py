@@ -33,10 +33,6 @@ SITES: Dict[str, str] = {
         "the emitter places a store inside a p-slice (invalid binary)",
     "verify.mismatch":
         "the differential verifier reports a semantic mismatch",
-    "runner.worker_crash":
-        "a runner worker crashes before simulating its spec",
-    "runner.worker_timeout":
-        "a runner worker hangs and surfaces as a timeout",
     "cache.corrupt":
         "an on-disk cache entry is overwritten with garbage before a read",
     "cache.truncate":
@@ -210,7 +206,7 @@ def snapshot() -> Optional[Dict[str, object]]:
 def sync_fired(site: str, count: int) -> None:
     """Force ``site``'s fired-count to ``count`` (cross-process chaos).
 
-    Supervised runner workers execute in freshly-forked processes, so a
+    Supervised runner workers execute in forked processes, so a
     child's fired-count increments never reach the parent: a
     ``times``-bounded plan would otherwise fire in *every* retry forever.
     The supervisor aligns each worker's count with the attempt number

@@ -1,15 +1,19 @@
 """Watchdog supervision of runner workers, with breaker and ladder.
 
-The :class:`Supervisor` owns a batch of specs and drives each one to a
-terminal :class:`SupervisedOutcome` through an explicit failure policy:
+The :class:`Supervisor` is the one place that forks simulation workers.
+It owns a batch of specs and drives each one to a terminal
+:class:`SupervisedOutcome` through an explicit failure policy:
 
-* every parallel attempt runs in its **own** ``multiprocessing.Process``
-  (a pool cannot kill one hung member), reporting its result over a pipe
-  and its liveness through a :class:`~repro.resilience.heartbeat.Heartbeat`
-  file;
-* the watchdog loop kills workers whose heartbeat goes stale past
+* each of the ``jobs`` slots keeps one forked ``multiprocessing.Process``
+  alive across attempts, feeding it tasks and reading results over a
+  pipe (a pool cannot kill one hung member); a worker is replaced only
+  after a watchdog kill, a crash, or a resource-budget failure, and every
+  worker is joined before :meth:`Supervisor.run` returns;
+* the watchdog kills workers whose
+  :class:`~repro.resilience.heartbeat.Heartbeat` goes stale past
   ``heartbeat_timeout`` (and, as a hard backstop, workers that outlive
-  the wall-clock deadline the worker itself was supposed to enforce);
+  the wall-clock deadline the worker itself was supposed to enforce),
+  both timed from the start of the current task;
 * failed attempts retry after exponential backoff with **deterministic
   jitter** (seeded from the spec hash and attempt number — chaos runs
   reproduce);
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import tempfile
@@ -126,28 +131,35 @@ class _Job:
         self.outcome: Optional[SupervisedOutcome] = None
 
 
-class _Handle:
-    """One live worker process."""
+class _Slot:
+    """One reusable worker process and the attempt it is running."""
 
-    def __init__(self, proc, conn, heartbeat_path: Path):
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
+        self.job: Optional[_Job] = None
+        self.heartbeat_path: Optional[Path] = None
+        self.started_wall = 0.0
+
+    def assign(self, job: _Job, task: Any, heartbeat_path: Path) -> None:
+        self.job = job
         self.heartbeat_path = heartbeat_path
         self.started_wall = time.time()
+        self.conn.send(task)
+
+    def stop(self) -> None:
+        """Ask the worker to exit; kill it if it will not."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self.proc.join(timeout=5)
+        self.kill()
 
     def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except Exception:
-            pass
+        self.proc.kill()          # a no-op once the worker was reaped
         self.proc.join(timeout=10)
-        self.close()
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
+        self.conn.close()
 
 
 def _die_with_supervisor() -> None:
@@ -172,27 +184,29 @@ def _die_with_supervisor() -> None:
         os._exit(1)
 
 
-def _worker_entry(task_fn, task, conn) -> None:
-    """Child-process shim: run the task, ship one message, exit."""
+def _worker_loop(task_fn, conn) -> None:
+    """Child-process loop: run each task received, reply once per task,
+    exit on ``None`` or a closed pipe."""
     _die_with_supervisor()
-    try:
-        payload = task_fn(task)
-    except BaseException as exc:  # noqa: BLE001 - report, don't judge
+    while True:
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}",
-                       classify_failure(exc)))
-        except Exception:
-            pass
-    else:
+            task = conn.recv()
+        except (EOFError, OSError):
+            break
+        if task is None:
+            break
         try:
-            conn.send(("ok", payload))
-        except Exception:
-            pass
-    finally:
+            msg = ("ok", task_fn(task))
+        except Exception as exc:  # noqa: BLE001 - report, don't judge
+            # (An interrupt or exit ends the worker; the supervisor sees
+            # the closed pipe as a crash.)
+            msg = ("error", f"{type(exc).__name__}: {exc}",
+                   classify_failure(exc))
         try:
-            conn.close()
+            conn.send(msg)
         except Exception:
-            pass
+            break
+    conn.close()
 
 
 class Supervisor:
@@ -207,12 +221,13 @@ class Supervisor:
         """
         Args:
             config: supervision knobs.
-            task_fn: picklable unit of work (``execute_task``).
+            task_fn: unit of work (``execute_task``), run in the forked
+                workers — and in-process once a breaker trips.
             make_task: builds the task object for one attempt; called as
                 ``make_task(spec=, attempt=, heartbeat_path=, resume=,
                 hang_seconds=)``.
-            jobs: parallel worker slots (1 still supervises — one
-                killable process at a time).
+            jobs: worker slots, each one reusable forked process (1
+                still supervises — one killable process at a time).
             telemetry: a :class:`~repro.runner.telemetry.RunnerTelemetry`
                 (or None) receiving launch/kill/trip/degrade/skip events.
             tracer: observability sink for supervision events.
@@ -233,21 +248,24 @@ class Supervisor:
     def run(self, specs: Sequence[Any]) -> List[SupervisedOutcome]:
         jobs = [_Job(spec) for spec in specs]
         queue = deque(jobs)
-        active: Dict[_Job, _Handle] = {}
-        with tempfile.TemporaryDirectory(prefix="repro-hb-") as hb_dir:
-            hb_root = Path(hb_dir)
-            while queue or active:
-                now = time.monotonic()
-                self._fill_slots(queue, active, hb_root, now)
-                progressed = self._poll_active(queue, active)
-                if not progressed:
-                    time.sleep(self.config.poll_interval)
+        slots: List[_Slot] = []
+        try:
+            with tempfile.TemporaryDirectory(prefix="repro-hb-") as hb_dir:
+                hb_root = Path(hb_dir)
+                while queue or any(slot.job for slot in slots):
+                    self._fill_slots(queue, slots, hb_root)
+                    self._poll(queue, slots)
+        finally:
+            # Join every worker before returning: none outlives the
+            # batch, and RUSAGE_CHILDREN accounts for all of their CPU.
+            for slot in slots:
+                slot.stop()
         return [job.outcome for job in jobs]
 
     # -- scheduling ------------------------------------------------------------------
 
-    def _fill_slots(self, queue, active, hb_root: Path,
-                    now: float) -> None:
+    def _fill_slots(self, queue, slots: List[_Slot], hb_root: Path) -> None:
+        now = time.monotonic()
         deferred: List[_Job] = []
         while queue:
             job = queue.popleft()
@@ -259,14 +277,42 @@ class Supervisor:
                 self._run_serial_attempt(job, hb_root, queue)
                 now = time.monotonic()
                 continue
-            if len(active) >= self.jobs:
+            try:
+                slot = self._idle_slot(slots)
+            except OSError as exc:  # pragma: no cover - host trouble
+                # Can't fork at all: fall straight back to serial.
+                job.mode = "serial"
+                self._on_failure(job, "crash",
+                                 f"worker failed to start: {exc}", queue)
+                continue
+            if slot is None:
                 deferred.append(job)
                 break
-            self._launch(job, hb_root, active, queue)
+            self._launch(job, slot, hb_root, slots, queue)
         queue.extend(deferred)
 
-    def _launch(self, job: _Job, hb_root: Path, active,
-                queue) -> None:
+    def _idle_slot(self, slots: List[_Slot]) -> Optional[_Slot]:
+        """An idle worker, a freshly forked one if a slot is free, or
+        None when all ``jobs`` workers are busy."""
+        for slot in slots:
+            if slot.job is None:
+                return slot
+        if len(slots) >= self.jobs:
+            return None
+        conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(target=_worker_loop,
+                                 args=(self.task_fn, child_conn),
+                                 daemon=True)
+        try:
+            proc.start()
+        finally:
+            child_conn.close()
+        slot = _Slot(proc, conn)
+        slots.append(slot)
+        return slot
+
+    def _launch(self, job: _Job, slot: _Slot, hb_root: Path,
+                slots: List[_Slot], queue) -> None:
         job.attempts += 1
         hb_path = hb_root / f"{job.spec.content_hash()[:16]}.hb"
         task = self.make_task(
@@ -275,20 +321,14 @@ class Supervisor:
             hang_seconds=max(4 * self.config.heartbeat_timeout, 1.0))
         if self.telemetry is not None:
             self.telemetry.record_launch(job.executed_spec.label())
-        conn_recv, conn_send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(target=_worker_entry,
-                                 args=(self.task_fn, task, conn_send),
-                                 daemon=True)
         try:
-            proc.start()
-        except Exception as exc:  # pragma: no cover - host trouble
-            # Can't fork at all: fall straight back to serial execution.
-            job.mode = "serial"
+            slot.assign(job, task, hb_path)
+        except Exception as exc:  # noqa: BLE001 - routed by policy
+            # A dead idle worker or an unpicklable task: replace the
+            # worker and let the policy retry (serial needs no pipe).
+            self._retire(slot, slots)
             self._on_failure(job, "crash",
-                             f"worker failed to start: {exc}", queue)
-            return
-        conn_send.close()
-        active[job] = _Handle(proc, conn_recv, hb_path)
+                             f"worker unreachable: {exc}", queue)
 
     def _resume_for(self, job: _Job) -> bool:
         if self.config.resume:
@@ -298,42 +338,49 @@ class Supervisor:
         return (job.attempts > 1
                 and self.config.checkpoint_every is not None)
 
+    @staticmethod
+    def _retire(slot: _Slot, slots: List[_Slot]) -> None:
+        slot.kill()
+        slots.remove(slot)
+
     # -- event loop ------------------------------------------------------------------
 
-    def _poll_active(self, queue, active) -> bool:
-        progressed = False
-        for job, handle in list(active.items()):
-            msg = None
-            if handle.conn.poll():
+    def _poll(self, queue, slots: List[_Slot]) -> None:
+        busy = [slot for slot in slots if slot.job is not None]
+        if not busy:
+            # Everything runnable is backing off.
+            time.sleep(self.config.poll_interval)
+            return
+        ready = multiprocessing.connection.wait(
+            [slot.conn for slot in busy], timeout=self.config.poll_interval)
+        for slot in busy:
+            job = slot.job
+            if slot.conn in ready:
                 try:
-                    msg = handle.conn.recv()
+                    msg = slot.conn.recv()
                 except (EOFError, OSError):
                     msg = None
-            if msg is not None:
-                handle.proc.join(timeout=10)
-                handle.close()
-                del active[job]
-                progressed = True
+                if msg is None:
+                    self._retire(slot, slots)
+                    self._on_failure(
+                        job, "crash",
+                        f"worker exited (code {slot.proc.exitcode}) "
+                        f"without reporting a result", queue)
+                    continue
+                slot.job = None
                 if msg[0] == "ok":
                     self._finish_ok(job, msg[1])
-                else:
-                    self._on_failure(job, msg[2], msg[1], queue)
+                    continue
+                if msg[2] in _BUDGET_KINDS:
+                    # Peak RSS only grows: a worker that blew a budget
+                    # would fail every later task it is handed.
+                    self._retire(slot, slots)
+                self._on_failure(job, msg[2], msg[1], queue)
                 continue
-            if not handle.proc.is_alive():
-                handle.close()
-                del active[job]
-                progressed = True
-                self._on_failure(
-                    job, "crash",
-                    f"worker exited (code {handle.proc.exitcode}) "
-                    f"without reporting a result", queue)
-                continue
-            verdict = self._liveness_verdict(handle)
+            verdict = self._liveness_verdict(slot)
             if verdict is not None:
                 kind, message = verdict
-                handle.kill()
-                del active[job]
-                progressed = True
+                self._retire(slot, slots)
                 job.watchdog_kills += 1
                 if self.telemetry is not None:
                     self.telemetry.record_watchdog_kill(
@@ -341,21 +388,22 @@ class Supervisor:
                 self.tracer.event("watchdog.kill", category="resilience",
                                   spec=job.spec.label(), kind=kind)
                 self._on_failure(job, kind, message, queue)
-        return progressed
 
-    def _liveness_verdict(self, handle: _Handle):
-        """(kind, message) when a live worker must die, else None."""
+    def _liveness_verdict(self, slot: _Slot):
+        """(kind, message) when a busy worker must die, else None.
+
+        Both clocks start at the current task's hand-off, so a reused
+        worker is never charged for its earlier tasks."""
         cfg = self.config
         now_wall = time.time()
-        age = heartbeat_age(handle.heartbeat_path, now=now_wall)
-        silence = age if age is not None \
-            else now_wall - handle.started_wall
+        elapsed = now_wall - slot.started_wall
+        age = heartbeat_age(slot.heartbeat_path, now=now_wall)
+        silence = elapsed if age is None else min(age, elapsed)
         if silence > cfg.heartbeat_timeout:
             return ("hang", f"no heartbeat for {silence:.1f}s "
                             f"(deadline {cfg.heartbeat_timeout}s)")
         if cfg.deadline is not None:
             hard = cfg.deadline + max(cfg.heartbeat_timeout, 5.0)
-            elapsed = now_wall - handle.started_wall
             if elapsed > hard:
                 return ("deadline", f"worker alive {elapsed:.1f}s past "
                                     f"the {cfg.deadline}s deadline")

@@ -4,8 +4,9 @@ The evaluation harness re-runs the cycle-accurate simulators for many
 overlapping (workload, scale, model, variant, config) combinations; this
 package turns each combination into a declarative
 :class:`~repro.runner.spec.RunSpec`, executes batches of them through a
-:class:`~repro.runner.executor.Runner` (process-pool parallel, with retry
-and serial fallback), and memoises every result on disk in a
+:class:`~repro.runner.executor.Runner` (inline for one job, otherwise on
+the resilience supervisor's reusable forked workers), and memoises every
+result on disk in a
 :class:`~repro.runner.cache.ResultCache` keyed by spec content hash and a
 source-tree salt.  Experiments, the CLI and the benchmark harness all
 route their simulations through here.

@@ -1,15 +1,21 @@
-"""Run orchestration: cache lookup, parallel execution, retry, fallback.
+"""Run orchestration: cache lookup, then one of three execution paths.
 
 The :class:`Runner` turns a batch of :class:`~repro.runner.spec.RunSpec`
-into :class:`~repro.sim.stats.SimStats`, in this order of preference:
+into :class:`~repro.sim.stats.SimStats`.  Every spec is first looked up
+in the content-addressed :class:`~repro.runner.cache.ResultCache`
+(near-instant, zero simulations); the misses then run on exactly one
+path:
 
-1. the content-addressed :class:`~repro.runner.cache.ResultCache`
-   (near-instant, zero simulations);
-2. a ``ProcessPoolExecutor`` across ``jobs`` worker processes, with a
-   per-run timeout and bounded retry of transient failures;
-3. in-process serial execution — both the one-job fast path and the
-   graceful fallback when a process pool cannot be used (broken pool,
-   unpicklable spec, sandboxed interpreter).
+1. **service** — with a service root configured, the misses are
+   submitted to the shared queue and drained by an inline worker;
+2. **inline** — ``jobs=1`` without a
+   :class:`~repro.resilience.supervisor.ResilienceConfig` runs each spec
+   in-process, one attempt, and a failure becomes a structured error;
+3. **supervised** — everything else runs under the
+   :class:`~repro.resilience.supervisor.Supervisor`: ``jobs`` reusable
+   forked workers with heartbeat watchdog, backoff, circuit breaker,
+   degradation ladder and skip (a plain ``jobs>1`` runner uses the
+   default ``ResilienceConfig()``).
 
 Every successful execution is written back to the cache, and every
 outcome is recorded in the attached
@@ -17,13 +23,12 @@ outcome is recorded in the attached
 batch are coalesced into a single execution.
 
 Results are deterministic: a spec fully determines its statistics, so
-serial, parallel and cached executions of the same spec yield identical
+inline, supervised and cached executions of the same spec yield identical
 ``SimStats`` snapshots (asserted by the test suite).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -31,7 +36,7 @@ from ..sim.stats import SimStats
 from .cache import ResultCache
 from .spec import RunSpec
 from .telemetry import RunnerTelemetry
-from .worker import execute_spec
+from .worker import WorkerTask, execute_spec, execute_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.supervisor import ResilienceConfig
@@ -45,7 +50,7 @@ _DEFAULT_SERVICE = object()
 
 
 class RunnerError(RuntimeError):
-    """A run failed after exhausting its retry budget."""
+    """A run failed: its one inline attempt, or its supervised policy."""
 
 
 @dataclass
@@ -69,32 +74,29 @@ class RunResult:
 
 
 class Runner:
-    """Executes run specs with caching, parallelism and retries."""
+    """Executes run specs with caching and supervised parallelism."""
 
     def __init__(self, jobs: int = 1,
                  cache=_DEFAULT_CACHE,
-                 timeout: Optional[float] = None,
-                 retries: int = 1,
                  telemetry: Optional[RunnerTelemetry] = None,
                  task_fn: Callable[[RunSpec], Dict] = execute_spec,
                  resilience: Optional["ResilienceConfig"] = None,
                  service=_DEFAULT_SERVICE):
         """
         Args:
-            jobs: worker processes; 1 runs everything in-process.
+            jobs: supervised worker processes; 1 (without
+                ``resilience``) runs everything in-process.
             cache: a :class:`ResultCache`, None to disable caching, or the
                 default — honours ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``.
-            timeout: per-run seconds before a parallel run is abandoned
-                and retried serially (serial runs rely on the simulator's
-                own ``max_cycles`` runaway guard instead).
-            retries: extra attempts after a failed one.
             telemetry: shared counters; a fresh instance by default.
-            task_fn: the unit of work (overridable for tests); must be a
-                picklable module-level callable for parallel execution.
-            resilience: when given, cache misses execute under the
-                :class:`~repro.resilience.supervisor.Supervisor`
-                (heartbeat watchdog, checkpoint/resume, circuit breaker,
-                degradation ladder) instead of the plain pool.
+            task_fn: the unit of work, ``task_fn(spec) -> payload``
+                (overridable for tests and benchmarks); supervised runs
+                call it in the forked workers.
+            resilience: supervision knobs (heartbeat watchdog,
+                checkpoint/resume, circuit breaker, degradation ladder);
+                given, even ``jobs=1`` runs under the
+                :class:`~repro.resilience.supervisor.Supervisor`.
+                ``jobs>1`` without it uses ``ResilienceConfig()``.
             service: a :class:`~repro.service.client.ServiceConfig`, a
                 service root path, None to force standalone mode, or the
                 default — honours ``REPRO_SERVICE_ROOT``.  With a
@@ -114,8 +116,6 @@ class Runner:
         self.cache: Optional[ResultCache] = (
             ResultCache.from_environment() if cache is _DEFAULT_CACHE
             else cache)
-        self.timeout = timeout
-        self.retries = max(0, int(retries))
         self.telemetry = telemetry or RunnerTelemetry()
         self.task_fn = task_fn
         self.resilience = resilience
@@ -168,12 +168,10 @@ class Runner:
         if pending:
             if self.service is not None:
                 executed = self._run_service(pending)
-            elif self.resilience is not None:
-                executed = self._run_supervised(pending)
-            elif self.jobs > 1 and len(pending) > 1:
-                executed = self._run_parallel(pending)
+            elif self.jobs == 1 and self.resilience is None:
+                executed = [self._run_inline(spec) for spec in pending]
             else:
-                executed = [self._run_serial(spec) for spec in pending]
+                executed = self._run_supervised(pending)
             for result in executed:
                 by_hash[result.spec.content_hash()] = result
         if self.cache is not None and hasattr(self.cache,
@@ -198,96 +196,39 @@ class Runner:
                          stats_dict=entry["stats"],
                          metrics=entry.get("metrics") or {})
 
-    def _complete(self, spec: RunSpec, payload: Dict,
-                  attempts: int) -> RunResult:
+    def _complete(self, spec: RunSpec, payload: Dict, attempts: int,
+                  executed_spec: Optional[RunSpec] = None,
+                  resilience: Optional[Dict] = None) -> RunResult:
+        """Cache a payload under the spec that actually ran; wrap it."""
         wall = payload.get("wall_time", 0.0)
-        metrics = payload.get("metrics") or {}
+        metrics = dict(payload.get("metrics") or {})
+        if resilience is not None:
+            metrics["resilience"] = resilience
         if self.cache is not None:
-            self.cache.put(spec, payload["stats"], wall, metrics=metrics)
+            self.cache.put(executed_spec or spec, payload["stats"], wall,
+                           metrics=metrics)
         self.telemetry.record_complete(spec.label(), wall, attempts,
                                        spec.content_hash())
         return RunResult(spec, stats=SimStats.from_dict(payload["stats"]),
                          wall_time=wall, attempts=attempts,
                          stats_dict=payload["stats"], metrics=metrics)
 
-    def _fail(self, spec: RunSpec, error: BaseException,
-              attempts: int) -> RunResult:
-        message = f"{type(error).__name__}: {error}"
-        self.telemetry.record_failure(spec.label(), message, attempts)
-        return RunResult(spec, attempts=attempts, error=message)
+    def _fail(self, spec: RunSpec, error: str, attempts: int,
+              metrics: Optional[Dict] = None) -> RunResult:
+        self.telemetry.record_failure(spec.label(), error, attempts)
+        return RunResult(spec, attempts=attempts, error=error,
+                         metrics=metrics or {})
 
-    # -- serial execution ------------------------------------------------------------
+    # -- inline execution ------------------------------------------------------------
 
-    def _run_serial(self, spec: RunSpec, first_attempt: int = 1
-                    ) -> RunResult:
-        last_error: Optional[BaseException] = None
-        attempt = first_attempt
-        while attempt <= self.retries + 1:
-            self.telemetry.record_launch(spec.label())
-            try:
-                payload = self.task_fn(spec)
-            except Exception as exc:  # noqa: BLE001 - retried, then surfaced
-                last_error = exc
-                attempt += 1
-                continue
-            return self._complete(spec, payload, attempt)
-        return self._fail(spec, last_error, attempt - 1)
-
-    # -- parallel execution ----------------------------------------------------------
-
-    def _run_parallel(self, specs: List[RunSpec]) -> List[RunResult]:
-        """Fan out over a process pool; degrade to serial on pool trouble.
-
-        Timed-out or crashed runs are retried serially in-process (one
-        pool attempt counts against the retry budget), so a flaky pool
-        can slow a batch down but not fail it.
-        """
+    def _run_inline(self, spec: RunSpec) -> RunResult:
+        """One in-process attempt; a failure is a structured error."""
+        self.telemetry.record_launch(spec.label())
         try:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(specs)))
-        except (OSError, ValueError):  # pragma: no cover - depends on host
-            return [self._run_serial(spec) for spec in specs]
-        results: List[RunResult] = []
-        abandoned = False
-        pool_broken = False
-        futures = []
-        for spec in specs:
-            self.telemetry.record_launch(spec.label())
-            try:
-                futures.append(pool.submit(self.task_fn, spec))
-            except Exception:  # pragma: no cover - submit-time break
-                futures.append(None)
-        for spec, future in zip(specs, futures):
-            if future is None or pool_broken:
-                results.append(self._run_serial(spec))
-                continue
-            try:
-                payload = future.result(timeout=self.timeout)
-            except concurrent.futures.TimeoutError:
-                future.cancel()
-                abandoned = True
-                results.append(self._retry_after_pool(
-                    spec, TimeoutError(
-                        f"no result within {self.timeout}s")))
-            except concurrent.futures.process.BrokenProcessPool as exc:
-                pool_broken = True
-                results.append(self._retry_after_pool(spec, exc))
-            except Exception as exc:  # noqa: BLE001 - worker raised
-                results.append(self._retry_after_pool(spec, exc))
-            else:
-                results.append(self._complete(spec, payload, 1))
-        # Don't block on workers still chewing abandoned runs: a plain
-        # (wait=True) shutdown would join a timed-out simulation.
-        pool.shutdown(wait=not (abandoned or pool_broken),
-                      cancel_futures=True)
-        return results
-
-    def _retry_after_pool(self, spec: RunSpec,
-                          error: BaseException) -> RunResult:
-        if self.retries < 1:
-            return self._fail(spec, error, 1)
-        result = self._run_serial(spec, first_attempt=2)
-        return result
+            payload = self.task_fn(spec)
+        except Exception as exc:  # noqa: BLE001 - surfaced, not raised
+            return self._fail(spec, f"{type(exc).__name__}: {exc}", 1)
+        return self._complete(spec, payload, 1)
 
     # -- service execution -----------------------------------------------------------
 
@@ -305,8 +246,8 @@ class Runner:
     # -- supervised execution --------------------------------------------------------
 
     def _run_supervised(self, specs: List[RunSpec]) -> List[RunResult]:
-        """Execute under the resilience supervisor (watchdog, checkpoints,
-        circuit breaker, degradation ladder).
+        """Execute on the supervisor's reusable workers (watchdog,
+        checkpoints, backoff, circuit breaker, degradation ladder).
 
         A degraded run's payload is cached under the **degraded** spec's
         own content hash — never the original's — so a later request for
@@ -314,10 +255,9 @@ class Runner:
         """
         # Lazy: repro.resilience imports runner modules at load time; a
         # top-level import here would close the cycle.
-        from ..resilience.supervisor import Supervisor
-        from .worker import WorkerTask, execute_task
+        from ..resilience.supervisor import ResilienceConfig, Supervisor
 
-        cfg = self.resilience
+        cfg = self.resilience or ResilienceConfig()
 
         def make_task(spec, attempt, heartbeat_path, resume,
                       hang_seconds):
@@ -329,43 +269,39 @@ class Runner:
                               hang_seconds=hang_seconds,
                               sync_faults=True)
 
-        supervisor = Supervisor(cfg, task_fn=execute_task,
+        task_fn = execute_task
+        if self.task_fn is not execute_spec:
+            def task_fn(task):
+                return self.task_fn(task.spec)
+
+        supervisor = Supervisor(cfg, task_fn=task_fn,
                                 make_task=make_task, jobs=self.jobs,
                                 telemetry=self.telemetry)
         results = []
         for outcome in supervisor.run(specs):
-            meta: Dict = {
-                "ladder_step": outcome.ladder_step,
-                "watchdog_kills": outcome.watchdog_kills,
-                "serial": outcome.serial,
-                "skipped": outcome.skipped,
-            }
-            if outcome.reasons:
-                meta["reasons"] = list(outcome.reasons)
-            if outcome.executed_spec is not outcome.spec:
-                meta["executed_spec"] = outcome.executed_spec.key()
+            meta = None
+            # Only a caller who asked for resilience, or a run the
+            # policy had to act on, gets the record: a clean plain
+            # parallel run caches exactly what an inline run would.
+            if self.resilience is not None or outcome.reasons:
+                meta = {
+                    "ladder_step": outcome.ladder_step,
+                    "watchdog_kills": outcome.watchdog_kills,
+                    "serial": outcome.serial,
+                    "skipped": outcome.skipped,
+                }
+                if outcome.reasons:
+                    meta["reasons"] = list(outcome.reasons)
+                if outcome.executed_spec is not outcome.spec:
+                    meta["executed_spec"] = outcome.executed_spec.key()
             if outcome.payload is None:
-                error = outcome.error or "skipped by supervisor"
-                self.telemetry.record_failure(outcome.spec.label(),
-                                              error, outcome.attempts)
-                results.append(RunResult(
-                    outcome.spec, attempts=outcome.attempts, error=error,
-                    metrics={"resilience": meta}))
+                results.append(self._fail(
+                    outcome.spec, outcome.error or "skipped by supervisor",
+                    outcome.attempts, metrics={"resilience": meta}))
                 continue
-            payload = outcome.payload
-            meta.update(payload.get("resilience") or {})
-            wall = payload.get("wall_time", 0.0)
-            metrics = dict(payload.get("metrics") or {})
-            metrics["resilience"] = meta
-            if self.cache is not None:
-                self.cache.put(outcome.executed_spec, payload["stats"],
-                               wall, metrics=metrics)
-            self.telemetry.record_complete(
-                outcome.spec.label(), wall, outcome.attempts,
-                outcome.spec.content_hash())
-            results.append(RunResult(
-                outcome.spec,
-                stats=SimStats.from_dict(payload["stats"]),
-                wall_time=wall, attempts=outcome.attempts,
-                stats_dict=payload["stats"], metrics=metrics))
+            if meta is not None:
+                meta.update(outcome.payload.get("resilience") or {})
+            results.append(self._complete(
+                outcome.spec, outcome.payload, outcome.attempts,
+                executed_spec=outcome.executed_spec, resilience=meta))
         return results

@@ -1,10 +1,9 @@
 """Spec execution: build artifacts, simulate, serialise the result.
 
-:func:`execute_spec` is the unit of work the runner schedules.  It is a
-module-level function of one picklable argument so it can cross a
-``ProcessPoolExecutor`` boundary, and it rebuilds everything it needs from
-the spec alone — which is what makes parallel execution (and cache misses
-in a fresh process) self-contained.
+:func:`execute_spec` is the unit of work the runner schedules.  It takes
+one picklable argument and rebuilds everything it needs from the spec
+alone, so the same call runs inline, in a forked supervisor worker, or
+in a service worker on another host.
 
 :func:`execute_task` is the supervised flavour: a :class:`WorkerTask`
 adds the resilience contract — heartbeats for the watchdog, periodic
@@ -15,8 +14,9 @@ everything switched off, so both paths share one execution core.
 Expensive intermediate artifacts (profile, tool adaptation, hand binary)
 are memoised per process and per (workload, scale, tool options), so the
 many specs of one experiment share one profiling run and one adaptation
-within each worker.  Under the default ``fork`` start method the pool's
-workers even inherit artifacts already built by the parent.
+within each worker.  Supervisor workers live for a whole batch, so the
+memo carries across the tasks each one runs, and a forked worker
+inherits whatever the parent had already built.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ _PROGRESS_CADENCE = 50_000
 
 #: Sites whose fired-counts follow the attempt number across the fork
 #: boundary (a child's increments never reach the parent).
-_WORKER_SITES = ("worker.hang", "worker.oom",
-                 "runner.worker_crash", "runner.worker_timeout")
+_WORKER_SITES = ("worker.hang", "worker.oom")
 
 
 def _peak_rss_mb() -> Optional[float]:
@@ -223,14 +222,9 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
                  if task.heartbeat_path else None)
     if heartbeat is not None:
         heartbeat.beat(stage="start")
-    # Chaos sites: a worker that dies before doing any work, one that
-    # hangs long enough to surface as a timeout, one that stops
-    # heartbeating (watchdog path), and one that dies of memory
-    # exhaustion (ladder path).
-    faultinject.check("runner.worker_crash")
-    if faultinject.fires("runner.worker_timeout"):
-        time.sleep(0.05)
-        raise TimeoutError("injected fault at site 'runner.worker_timeout'")
+    # Chaos sites: a worker that stops heartbeating (watchdog path when
+    # supervised, an immediate structured failure inline) and one that
+    # dies of memory exhaustion (ladder path).
     if faultinject.fires("worker.hang"):
         if task.hang_seconds > 0:
             time.sleep(task.hang_seconds)

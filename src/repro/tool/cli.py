@@ -56,11 +56,12 @@ Resilience (:mod:`repro.resilience`): ``--checkpoint-every N`` writes a
 crash-safe checkpoint every N simulated cycles, ``--resume`` continues a
 killed run from its last good checkpoint (``ssp-postpass runs`` lists
 what is resumable), and ``--deadline SECS`` puts each run under the
-supervisor's wall-clock budget.  Any of these flags routes execution
-through the watchdog supervisor: hung workers are killed and retried
-with backoff, repeated failures trip a per-spec circuit breaker to
-serial execution, and budget blowouts descend the degradation ladder
-(chaining SP → basic SP → top-1 load → unadapted).  **Exit codes are
+supervisor's wall-clock budget.  Any of these flags, like ``--jobs N``
+with N > 1, routes execution through the watchdog supervisor (without
+them, ``--jobs 1`` makes one in-process attempt per run): hung workers
+are killed and retried with backoff, repeated failures trip a per-spec
+circuit breaker to serial execution, and budget blowouts descend the
+degradation ladder (chaining SP → basic SP → top-1 load → unadapted).  **Exit codes are
 unchanged by supervision**: a run that completes — even degraded down
 the ladder, which is recorded in telemetry and
 ``RunResult.metrics["resilience"]`` rather than the exit code — still
@@ -1069,8 +1070,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "table2, figure8, figure9, figure10, "
                              "hand_vs_auto)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="simulate batches on N worker processes "
-                             "(default: 1, serial)")
+                        help="simulate batches on N supervised worker "
+                             "processes (default: 1, in-process)")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the on-disk result cache (neither "
                              "read nor written)")

@@ -19,9 +19,10 @@ from repro.workloads import PAPER_ORDER
 #: land on the GuardReport) as opposed to the runner / cache layers.
 PIPELINE_SITES = ("slice.exception", "schedule.negative_slack",
                   "codegen.invalid_program", "verify.mismatch")
-RUNNER_SITES = ("runner.worker_crash", "runner.worker_timeout")
 CACHE_SITES = ("cache.corrupt", "cache.truncate")
 RESILIENCE_SITES = ("checkpoint.corrupt", "worker.hang", "worker.oom")
+#: Sites that kill the attempt inside the runner worker itself.
+WORKER_SITES = ("worker.hang", "worker.oom")
 # Service-plane sites (fleet chaos); exercised end to end in
 # tests/test_service_chaos.py, registry-checked here.
 SERVICE_SITES = ("queue.lease.corrupt", "queue.steal.race",
@@ -39,7 +40,7 @@ def _fresh_artifacts():
 
 
 def test_site_registry_is_complete():
-    assert set(SITES) == set(PIPELINE_SITES + RUNNER_SITES + CACHE_SITES
+    assert set(SITES) == set(PIPELINE_SITES + CACHE_SITES
                              + RESILIENCE_SITES + SERVICE_SITES)
     assert len(describe_sites()) == len(SITES)
 
@@ -92,16 +93,18 @@ class TestRunnerBatchChaos:
             assert result.error is None, result.error
             assert result.stats is not None and result.stats.cycles > 0
 
-    @pytest.mark.parametrize("site", RUNNER_SITES)
+    @pytest.mark.parametrize("site", WORKER_SITES)
     def test_runner_site_records_failures(self, site):
-        # Every attempt dies inside the worker; the batch still completes
-        # and each result carries a structured error, never an exception.
-        runner = Runner(jobs=1, cache=None, retries=0)
+        # A plain one-job runner makes one inline attempt per spec.  Every
+        # attempt dies inside the worker; the batch still completes and
+        # each result carries a structured error, never an exception.
+        runner = Runner(jobs=1, cache=None)
         with injecting(site):
             results = runner.run(self._batch())
         assert len(results) == len(PAPER_ORDER)
         for result in results:
             assert result.stats is None
+            assert result.attempts == 1
             assert "injected fault" in result.error
 
     @pytest.mark.parametrize("site", CACHE_SITES)

@@ -10,6 +10,7 @@ binary instead of failing.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -35,9 +36,19 @@ from repro.resilience import (
     ladder_steps,
     next_step,
 )
-from repro.runner import ResultCache, Runner, RunSpec, WorkerTask, execute_task
+from repro.runner import (
+    ResultCache,
+    Runner,
+    RunSpec,
+    WorkerTask,
+    execute_spec,
+    execute_task,
+)
 from repro.runner.worker import artifacts_for, config_for
+from repro.sim.caches import MemorySystem
+from repro.sim.config import MachineConfig
 from repro.sim.machine import make_simulator
+from repro.sim.stats import SimStats
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -445,6 +456,77 @@ def test_unrecoverable_spec_is_skipped_with_diagnostic():
     meta = result.metrics["resilience"]
     assert meta["skipped"] is True
     assert runner.telemetry.snapshot()["resilience"]["skips"] == 1
+
+
+def _crash_once(marker: Path, victim: RunSpec):
+    """A task function whose worker dies without reporting a result the
+    first time it is handed ``victim``; the marker file records that."""
+    def task(spec):
+        if spec == victim and not marker.exists():
+            marker.write_text("crashed")
+            os._exit(17)
+        return execute_spec(spec)
+    return task
+
+
+def test_crashed_worker_is_replaced_and_batch_completes(tmp_path):
+    specs = [RunSpec.create(name, scale="tiny", model="inorder",
+                            variant="base")
+             for name in ("mcf", "mst", "treeadd.df")]
+    inline = Runner(jobs=1, cache=None).run(specs)
+    config = ResilienceConfig(poll_interval=0.02, backoff_base=0.01,
+                              backoff_max=0.02)
+    marker = tmp_path / "crashed"
+    runner = Runner(jobs=2, cache=None, resilience=config,
+                    task_fn=_crash_once(marker, specs[0]))
+    results = runner.run(specs)
+    assert marker.exists(), "the victim's worker never ran it"
+    assert all(result.ok for result in results)
+    for plain, supervised in zip(inline, results):
+        assert supervised.stats_dict == plain.stats_dict
+    victim = results[0]
+    assert victim.attempts == 2
+    reason = victim.metrics["resilience"]["reasons"][0]
+    assert "crash" in reason and "without reporting a result" in reason
+    assert multiprocessing.active_children() == []
+
+
+#: A structurally valid (all-zero) stats payload for fake task functions.
+_EMPTY_STATS = SimStats(MemorySystem(MachineConfig())).to_dict()
+
+
+def _pid_task(spec):
+    return {"stats": _EMPTY_STATS, "wall_time": 0.0,
+            "metrics": {"pid": os.getpid()}}
+
+
+def _quiet_task(spec):
+    time.sleep(0.6)          # never heartbeats
+    return _pid_task(spec)
+
+
+def test_supervisor_reuses_one_worker_per_slot():
+    specs = [RunSpec(workload=f"w{i}") for i in range(6)]
+    runner = Runner(jobs=2, cache=None, resilience=ResilienceConfig(),
+                    task_fn=_pid_task)
+    results = runner.run(specs)
+    assert all(result.ok for result in results)
+    pids = {result.metrics["pid"] for result in results}
+    assert len(pids) <= 2
+    assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_reused_worker_silence_is_timed_per_task():
+    # 3 x 0.6 s on one worker outlasts the 1 s timeout; no single task
+    # does, so the watchdog must not fire.
+    config = ResilienceConfig(heartbeat_timeout=1.0, poll_interval=0.02)
+    runner = Runner(jobs=1, cache=None, resilience=config,
+                    task_fn=_quiet_task)
+    results = runner.run([RunSpec(workload=f"q{i}") for i in range(3)])
+    assert all(result.ok and result.attempts == 1 for result in results)
+    assert len({result.metrics["pid"] for result in results}) == 1
+    assert runner.telemetry.watchdog_kills == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentContext, figure8
+from repro.resilience import ResilienceConfig
 from repro.runner import (
     ResultCache,
     Runner,
@@ -37,7 +38,7 @@ def counting_task(spec):
 
 
 def marker_task(spec):
-    """Fails (or sleeps, when parallel) until its marker file exists.
+    """Fails (or goes silent) until its marker file exists.
 
     The spec's ``workload`` field carries the marker path and its
     ``variant``-agnostic ``scale`` field selects the failure mode, so the
@@ -49,7 +50,7 @@ def marker_task(spec):
         marker.write_text("attempted")
         if spec.scale == "small":     # "small" => transient exception
             raise RuntimeError("transient failure")
-        time.sleep(2.5)               # otherwise: too slow, gets timed out
+        time.sleep(2.5)               # otherwise: silent, gets killed
     return {"stats": EMPTY_STATS, "wall_time": 0.0}
 
 
@@ -190,44 +191,80 @@ class TestRunnerCaching:
         assert snap["saved_wall_time"] == pytest.approx(0.25)
 
 
+def always_fails(spec):
+    raise RuntimeError("boom")
+
+
+#: Supervision with test-sized backoff.
+FAST = dict(poll_interval=0.02, backoff_base=0.01, backoff_max=0.02)
+
+
 class TestRetryAndTimeout:
-    def test_serial_retry_on_transient_failure(self, tmp_path):
+    """The failure contract: a plain one-job run gets one inline attempt
+    and then a structured error; every other run follows the
+    supervisor's backoff -> breaker -> ladder -> skip policy."""
+
+    def test_plain_serial_run_makes_one_attempt(self, tmp_path):
         spec = fake_spec(str(tmp_path / "marker"), scale="small")
-        runner = Runner(cache=None, retries=1, task_fn=marker_task)
+        runner = Runner(cache=None, task_fn=marker_task)
+        result = runner.run_one(spec)
+        assert not result.ok
+        assert result.attempts == 1
+        assert "transient failure" in result.error
+        assert runner.telemetry.failures == 1
+        assert runner.telemetry.retries == 0
+
+    def test_serial_retry_on_transient_failure(self, tmp_path):
+        # The forked attempt fails, the breaker trips at once and the
+        # retry runs serially in-process.
+        spec = fake_spec(str(tmp_path / "marker"), scale="small")
+        runner = Runner(cache=None, task_fn=marker_task,
+                        resilience=ResilienceConfig(breaker_threshold=1,
+                                                    **FAST))
         result = runner.run_one(spec)
         assert result.ok
         assert result.attempts == 2
+        assert result.metrics["resilience"]["serial"] is True
 
     def test_serial_failure_exhausts_retries(self):
-        def always_fails(spec):
-            raise RuntimeError("boom")
-        runner = Runner(cache=None, retries=2, task_fn=always_fails)
+        runner = Runner(cache=None, task_fn=always_fails,
+                        resilience=ResilienceConfig(max_attempts=3, **FAST))
         result = runner.run_one(fake_spec())
         assert not result.ok
         assert result.attempts == 3
         assert "boom" in result.error
+        assert result.metrics["resilience"]["skipped"] is True
         with pytest.raises(RunnerError):
             runner.stats(fake_spec())
 
     def test_parallel_timeout_retried_serially(self, tmp_path):
         specs = [fake_spec(str(tmp_path / "m1"), scale="tiny"),
                  fake_spec(str(tmp_path / "m2"), scale="tiny")]
-        runner = Runner(jobs=2, cache=None, timeout=0.3, retries=1,
-                        task_fn=marker_task)
+        config = ResilienceConfig(heartbeat_timeout=0.3,
+                                  breaker_threshold=1, **FAST)
+        runner = Runner(jobs=2, cache=None, task_fn=marker_task,
+                        resilience=config)
         results = runner.run(specs)
         assert all(r.ok for r in results)
-        # Workers wrote the markers before sleeping; the serial retry in
-        # this process found them and returned immediately.
+        # Workers wrote the markers before going silent; the watchdog
+        # killed them and the serial retry in this process found the
+        # markers and returned immediately.
         assert (tmp_path / "m1").exists() and (tmp_path / "m2").exists()
+        assert runner.telemetry.watchdog_kills == 2
         assert runner.telemetry.retries >= 1
 
     def test_parallel_worker_exception_retried(self, tmp_path):
+        # A plain jobs>1 runner is supervised with the default policy.
         spec = fake_spec(str(tmp_path / "m"), scale="small")
-        runner = Runner(jobs=2, cache=None, retries=1,
-                        task_fn=marker_task)
+        runner = Runner(jobs=2, cache=None, task_fn=marker_task)
         results = runner.run([spec, fake_spec(str(tmp_path / "m_ok"),
                                               scale="small")])
         assert all(r.ok for r in results)
+        for result in results:
+            assert result.attempts == 2
+            meta = result.metrics["resilience"]
+            assert meta["serial"] is False
+            assert "transient failure" in meta["reasons"][0]
 
 
 class TestSerialParallelParity:
@@ -239,6 +276,25 @@ class TestSerialParallelParity:
         for s, p in zip(serial, parallel):
             assert s.ok and p.ok
             assert s.stats.to_dict() == p.stats.to_dict()
+
+    def test_cache_entries_identical(self, tmp_path):
+        # Whole entries, stats plus metrics: a clean supervised run must
+        # not record anything an inline run would not.
+        specs = [RunSpec.create("mcf", scale="tiny", model=m, variant=v)
+                 for m in ("inorder", "ooo") for v in ("base", "ssp")]
+        entries = []
+        for jobs in (1, 2):
+            cache = ResultCache(root=tmp_path / f"jobs{jobs}")
+            assert all(r.ok for r in Runner(jobs=jobs, cache=cache)
+                       .run(specs))
+            entries.append([
+                {key: cache.get(spec).get(key)
+                 for key in ("spec", "stats", "metrics")}
+                for spec in specs])
+        assert entries[0] == entries[1]
+        assert entries[1][1]["metrics"]["prefetch"]
+        assert not any("resilience" in (entry["metrics"] or {})
+                       for entry in entries[1])
 
 
 class TestExecuteSpec:
