@@ -22,8 +22,9 @@ adaptation replaces a nop slot (Figure 7).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Opcodes
@@ -85,6 +86,23 @@ _UID_COUNTER = [0]
 def _next_uid() -> int:
     _UID_COUNTER[0] += 1
     return _UID_COUNTER[0]
+
+
+@contextmanager
+def numbered_after(last: int) -> Iterator[None]:
+    """Give instructions created in the block the uids ``last + 1``,
+    ``last + 2``, ...
+
+    A build numbered this way gets the same uids in every process,
+    whatever that process built before.  Afterwards numbering resumes
+    past every uid handed out so far.
+    """
+    saved = _UID_COUNTER[0]
+    _UID_COUNTER[0] = last
+    try:
+        yield
+    finally:
+        _UID_COUNTER[0] = max(saved, _UID_COUNTER[0])
 
 
 @dataclass

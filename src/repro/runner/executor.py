@@ -17,6 +17,16 @@ path:
    degradation ladder and skip (a plain ``jobs>1`` runner uses the
    default ``ResilienceConfig()``).
 
+A supervised batch builds each adaptation once.  When the parent's
+artifact memo lacks an adaptation some specs need, the batch runs in two
+phases: first one spec per missing (workload, scale, tool options) plus
+every spec that needs no new adaptation, then — on workers forked
+afterwards, which inherit the memo — the rest.  Each payload that built
+an adaptation carries it home (see :mod:`repro.runner.worker`); the
+runner installs it in the parent's memo and strips it from the payload
+before anything is cached or returned.  With nothing missing the batch
+is one :meth:`~repro.resilience.supervisor.Supervisor.run` call.
+
 Every successful execution is written back to the cache, and every
 outcome is recorded in the attached
 :class:`~repro.runner.telemetry.RunnerTelemetry`.  Identical specs in one
@@ -36,7 +46,8 @@ from ..sim.stats import SimStats
 from .cache import ResultCache
 from .spec import RunSpec
 from .telemetry import RunnerTelemetry
-from .worker import WorkerTask, execute_spec, execute_task
+from .worker import (WorkerTask, execute_spec, execute_task,
+                     has_adaptation, install_artifacts, memo_key)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.supervisor import ResilienceConfig
@@ -199,7 +210,13 @@ class Runner:
     def _complete(self, spec: RunSpec, payload: Dict, attempts: int,
                   executed_spec: Optional[RunSpec] = None,
                   resilience: Optional[Dict] = None) -> RunResult:
-        """Cache a payload under the spec that actually ran; wrap it."""
+        """Cache a payload under the spec that actually ran; wrap it.
+
+        An adaptation the payload carries home is installed in this
+        process's memo and never cached or returned."""
+        built = payload.pop("artifacts", None)
+        if built is not None:
+            install_artifacts(executed_spec or spec, built)
         wall = payload.get("wall_time", 0.0)
         metrics = dict(payload.get("metrics") or {})
         if resilience is not None:
@@ -278,30 +295,60 @@ class Runner:
                                 make_task=make_task, jobs=self.jobs,
                                 telemetry=self.telemetry)
         results = []
-        for outcome in supervisor.run(specs):
-            meta = None
-            # Only a caller who asked for resilience, or a run the
-            # policy had to act on, gets the record: a clean plain
-            # parallel run caches exactly what an inline run would.
-            if self.resilience is not None or outcome.reasons:
-                meta = {
-                    "ladder_step": outcome.ladder_step,
-                    "watchdog_kills": outcome.watchdog_kills,
-                    "serial": outcome.serial,
-                    "skipped": outcome.skipped,
-                }
-                if outcome.reasons:
-                    meta["reasons"] = list(outcome.reasons)
-                if outcome.executed_spec is not outcome.spec:
-                    meta["executed_spec"] = outcome.executed_spec.key()
-            if outcome.payload is None:
-                results.append(self._fail(
-                    outcome.spec, outcome.error or "skipped by supervisor",
-                    outcome.attempts, metrics={"resilience": meta}))
-                continue
-            if meta is not None:
-                meta.update(outcome.payload.get("resilience") or {})
-            results.append(self._complete(
-                outcome.spec, outcome.payload, outcome.attempts,
-                executed_spec=outcome.executed_spec, resilience=meta))
+        for phase in _phases(specs):
+            # Each phase's outcomes are completed (and any adaptation
+            # they carry installed) before the next phase forks.
+            results.extend(self._settle(outcome)
+                           for outcome in supervisor.run(phase))
         return results
+
+    def _settle(self, outcome) -> RunResult:
+        """One supervised outcome as a completed or failed result."""
+        meta = None
+        # Only a caller who asked for resilience, or a run the policy
+        # had to act on, gets the record: a clean plain parallel run
+        # caches exactly what an inline run would.
+        if self.resilience is not None or outcome.reasons:
+            meta = {
+                "ladder_step": outcome.ladder_step,
+                "watchdog_kills": outcome.watchdog_kills,
+                "serial": outcome.serial,
+                "skipped": outcome.skipped,
+            }
+            if outcome.reasons:
+                meta["reasons"] = list(outcome.reasons)
+            if outcome.executed_spec is not outcome.spec:
+                meta["executed_spec"] = outcome.executed_spec.key()
+        if outcome.payload is None:
+            return self._fail(
+                outcome.spec, outcome.error or "skipped by supervisor",
+                outcome.attempts, metrics={"resilience": meta})
+        if meta is not None:
+            meta.update(outcome.payload.get("resilience") or {})
+        return self._complete(
+            outcome.spec, outcome.payload, outcome.attempts,
+            executed_spec=outcome.executed_spec, resilience=meta)
+
+
+def _phases(specs: List[RunSpec]) -> List[List[RunSpec]]:
+    """Split a supervised batch so each missing adaptation is built once.
+
+    Phase 1 holds one spec per (workload, scale, tool options) whose
+    adaptation the memo lacks, then every spec that needs no new
+    adaptation; phase 2 holds the remaining specs of the missing keys,
+    to run on workers forked after phase 1 carried the adaptations home.
+    Only peeks at the memo: building here would run in the parent.
+    """
+    builders: Dict[tuple, RunSpec] = {}
+    waiting: List[RunSpec] = []
+    ready: List[RunSpec] = []
+    for spec in specs:
+        if not spec.needs_adaptation or has_adaptation(spec):
+            ready.append(spec)
+        elif memo_key(spec) in builders:
+            waiting.append(spec)
+        else:
+            builders[memo_key(spec)] = spec
+    if not waiting:
+        return [specs]
+    return [list(builders.values()) + ready, waiting]

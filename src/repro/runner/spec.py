@@ -25,6 +25,10 @@ VARIANTS = ("base", "ssp", "perfect_mem", "perfect_dloads", "hand")
 #: Variants that execute a spawning (SSP-enhanced) binary.
 _SPAWNING_VARIANTS = ("ssp", "hand")
 
+#: Variants that need the post-pass tool's adaptation: ``ssp`` runs the
+#: adapted binary, ``perfect_dloads`` idealises the loads it selected.
+_ADAPTATION_VARIANTS = ("ssp", "perfect_dloads")
+
 
 def freeze_options(options: Any) -> Tuple[Tuple[str, Any], ...]:
     """Normalise tool options (dataclass, mapping, or None) to a sorted,
@@ -134,6 +138,12 @@ class RunSpec:
         if self.spawning is not None:
             return self.spawning
         return self.variant in _SPAWNING_VARIANTS
+
+    @property
+    def needs_adaptation(self) -> bool:
+        """Whether running this spec needs the tool's adaptation (and so
+        the profile it is built from)."""
+        return self.variant in _ADAPTATION_VARIANTS
 
     def tool_options_dict(self) -> Optional[Dict[str, Any]]:
         return dict(self.tool_options) if self.tool_options else None

@@ -17,6 +17,14 @@ many specs of one experiment share one profiling run and one adaptation
 within each worker.  Supervisor workers live for a whole batch, so the
 memo carries across the tasks each one runs, and a forked worker
 inherits whatever the parent had already built.
+
+A call that builds an adaptation carries it home: its payload gains an
+``"artifacts"`` entry (program, profile and :class:`ToolResult`, a few
+tens of KB pickled at ``small`` scale).  The runner adopts it into the
+parent's memo with :func:`install_artifacts` and drops the entry before
+the payload is cached or returned, so workers forked afterwards inherit
+the adaptation instead of rebuilding it.  :func:`has_adaptation` lets
+the runner see what is missing without building anything.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..guard import faultinject
 from ..guard.errors import CheckpointError, ResourceBudgetError
+from ..isa.instructions import numbered_after
+from ..isa.program import Program
 from ..obs.tracer import NULL_TRACER
 from ..profiling.collect import collect_profile
 from ..profiling.profile import ProgramProfile
@@ -50,13 +60,15 @@ class WorkloadArtifacts:
     """Lazily-built products for one (workload, scale, tool options)."""
 
     def __init__(self, name: str, scale: str,
-                 tool_options: Optional[Dict[str, Any]] = None):
+                 tool_options: Optional[Dict[str, Any]] = None,
+                 program: Optional[Program] = None):
         self.name = name
         self.scale = scale
         self.tool_options = (ToolOptions(**tool_options)
                              if tool_options else None)
         self.workload = make_workload(name, scale)
-        self.program = self.workload.build_program()
+        self.program = (program if program is not None
+                        else _build_program(self.workload))
         #: Observability sink for the expensive builds below; callers that
         #: want spans (the CLI's ``--trace``) set this before the first
         #: access to :attr:`profile` / :attr:`tool_result`.
@@ -79,17 +91,32 @@ class WorkloadArtifacts:
     @property
     def tool_result(self) -> ToolResult:
         if self._tool_result is None:
+            profile = self.profile
             tool = SSPPostPassTool(self.tool_options, tracer=self.tracer)
-            # The heap factory enables the differential verify stage
-            # (semantic-equivalence rollback) inside the tool.
-            self._tool_result = tool.adapt(
-                self.program, self.profile,
-                heap_factory=self.workload.build_heap)
+            # Instructions the tool adds are numbered after the binary's
+            # own; the heap factory enables the differential verify
+            # stage (semantic-equivalence rollback) inside the tool.
+            last = max(instr.uid for instr in self.program.instructions())
+            with numbered_after(last):
+                self._tool_result = tool.adapt(
+                    self.program, profile,
+                    heap_factory=self.workload.build_heap)
         return self._tool_result
 
     @property
     def delinquent_uids(self):
         return self.tool_result.delinquent_uids
+
+    @property
+    def adapted(self) -> bool:
+        """Whether the adaptation is built (a peek: builds nothing)."""
+        return self._tool_result is not None
+
+    def built(self) -> Dict[str, Any]:
+        """The adaptation and what it was built from, as picklable data
+        for :func:`install_artifacts` in another process."""
+        return {"program": self.program, "profile": self.profile,
+                "tool_result": self.tool_result}
 
     @property
     def hand_workload(self):
@@ -111,21 +138,61 @@ class WorkloadArtifacts:
                 return self.program, self.workload
             return result.adapted.program, self.workload
         if variant == "hand":
-            return self.hand_workload.build_program(), self.hand_workload
+            return _build_program(self.hand_workload), self.hand_workload
         return self.program, self.workload
+
+
+def _build_program(workload) -> Program:
+    """A workload's binary numbered from uid 1, so its uids — and every
+    statistic keyed by them — do not depend on the building process."""
+    with numbered_after(0):
+        return workload.build_program()
 
 
 #: Per-process artifact memo: (workload, scale, frozen options) -> built.
 _ARTIFACTS: Dict[Tuple, WorkloadArtifacts] = {}
 
 
+def memo_key(spec: RunSpec) -> Tuple:
+    """The artifact memo key a spec shares with its sibling specs."""
+    return (spec.workload, spec.scale, spec.tool_options)
+
+
 def artifacts_for(spec: RunSpec) -> WorkloadArtifacts:
-    key = (spec.workload, spec.scale, spec.tool_options)
+    key = memo_key(spec)
     artifacts = _ARTIFACTS.get(key)
     if artifacts is None:
         artifacts = _ARTIFACTS[key] = WorkloadArtifacts(
             spec.workload, spec.scale, spec.tool_options_dict())
     return artifacts
+
+
+def has_adaptation(spec: RunSpec) -> bool:
+    """Whether this process's memo holds the spec's adaptation; unlike
+    :func:`artifacts_for`, never builds anything."""
+    artifacts = _ARTIFACTS.get(memo_key(spec))
+    return artifacts is not None and artifacts.adapted
+
+
+def install_artifacts(spec: RunSpec, built: Dict[str, Any]) -> None:
+    """Adopt artifacts another process built (:meth:`WorkloadArtifacts.
+    built`) under the spec's memo key, unless the memo already holds
+    that adaptation.
+
+    An existing entry is updated in place (experiment contexts hold it),
+    and all three products are replaced together so it stays one
+    consistent build: the tool result refers to the program it came from.
+    """
+    if has_adaptation(spec):
+        return
+    key = memo_key(spec)
+    artifacts = _ARTIFACTS.get(key) or WorkloadArtifacts(
+        spec.workload, spec.scale, spec.tool_options_dict(),
+        program=built["program"])
+    artifacts.program = built["program"]
+    artifacts._profile = built["profile"]
+    artifacts._tool_result = built["tool_result"]
+    _ARTIFACTS[key] = artifacts
 
 
 def clear_artifact_cache() -> None:
@@ -242,6 +309,7 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
         store = CheckpointStore(root=task.checkpoint_root)
 
     artifacts = artifacts_for(spec)
+    adapted_before = artifacts.adapted
     program, heap_workload = artifacts.run_inputs(spec.variant)
     heap = heap_workload.build_heap()
     sim = make_simulator(program, heap, spec.model,
@@ -321,6 +389,9 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
                 str(uid): row for uid, row in stats.prefetch_metrics(
                     artifacts.delinquent_uids).items()},
         }
+    if artifacts.adapted and not adapted_before:
+        # Carried home to the runner, which strips it before caching.
+        payload["artifacts"] = artifacts.built()
     return payload
 
 

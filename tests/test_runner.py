@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentContext, figure8
-from repro.resilience import ResilienceConfig
+from repro.guard.faultinject import injecting
+from repro.resilience import ResilienceConfig, Supervisor
 from repro.runner import (
     ResultCache,
     Runner,
@@ -20,6 +21,8 @@ from repro.runner import (
     freeze_options,
     freeze_overrides,
 )
+from repro.runner import worker as runner_worker
+from repro.runner.worker import has_adaptation
 from repro.sim.caches import MemorySystem
 from repro.sim.config import MachineConfig
 from repro.sim.stats import SimStats
@@ -279,22 +282,135 @@ class TestSerialParallelParity:
 
     def test_cache_entries_identical(self, tmp_path):
         # Whole entries, stats plus metrics: a clean supervised run must
-        # not record anything an inline run would not.
+        # not record anything an inline run would not.  Each half starts
+        # from an empty artifact memo, so the jobs=2 half builds its
+        # adaptations in a worker and carries them home.
         specs = [RunSpec.create("mcf", scale="tiny", model=m, variant=v)
-                 for m in ("inorder", "ooo") for v in ("base", "ssp")]
+                 for m in ("inorder", "ooo")
+                 for v in ("base", "ssp", "perfect_dloads")]
         entries = []
         for jobs in (1, 2):
+            clear_artifact_cache()
             cache = ResultCache(root=tmp_path / f"jobs{jobs}")
-            assert all(r.ok for r in Runner(jobs=jobs, cache=cache)
-                       .run(specs))
+            results = Runner(jobs=jobs, cache=cache).run(specs)
+            assert all(r.ok for r in results)
+            assert not any("artifacts" in r.metrics for r in results)
             entries.append([
                 {key: cache.get(spec).get(key)
                  for key in ("spec", "stats", "metrics")}
                 for spec in specs])
+        assert has_adaptation(specs[1])
         assert entries[0] == entries[1]
         assert entries[1][1]["metrics"]["prefetch"]
-        assert not any("resilience" in (entry["metrics"] or {})
+        assert not any(set(entry["metrics"] or {}) & {"resilience",
+                                                      "artifacts"}
                        for entry in entries[1])
+
+
+def _log_profiles(monkeypatch, log: Path) -> None:
+    """Append one line per profiling run to ``log``, in this process and
+    in every worker forked after this call."""
+    real = runner_worker.collect_profile
+
+    def logged(program, heap_factory):
+        with open(log, "a") as out:
+            out.write(f"{heap_factory.__self__.name}\n")
+        return real(program, heap_factory)
+
+    monkeypatch.setattr(runner_worker, "collect_profile", logged)
+
+
+def _grid(names, variants=("base", "perfect_dloads", "ssp")):
+    return [RunSpec.create(name, scale="tiny", model=model, variant=variant)
+            for name in names for model in ("inorder", "ooo")
+            for variant in variants]
+
+
+def execute_and_drop_artifacts(spec):
+    """``execute_spec`` whose payload never carries an adaptation home."""
+    payload = execute_spec(spec)
+    payload.pop("artifacts", None)
+    return payload
+
+
+class TestBuildOnceAcrossProcesses:
+    """A jobs>1 batch builds each adaptation once in the whole process
+    tree: the first worker carries it home, later workers inherit it."""
+
+    NAMES = ("mcf", "treeadd.df")
+
+    def _serial_stats(self, specs):
+        clear_artifact_cache()
+        return [r.stats.to_dict()
+                for r in Runner(jobs=1, cache=None).run(specs)]
+
+    def test_each_profile_built_once(self, tmp_path, monkeypatch):
+        specs = _grid(self.NAMES)
+        log = tmp_path / "profiles.log"
+        log.touch()
+        _log_profiles(monkeypatch, log)
+        batches = []
+        real_run = Supervisor.run
+
+        def counted_run(supervisor, batch):
+            batches.append(len(batch))
+            return real_run(supervisor, batch)
+
+        monkeypatch.setattr(Supervisor, "run", counted_run)
+        clear_artifact_cache()
+        results = Runner(jobs=2, cache=None).run(specs)
+        built = log.read_text().split()
+        assert len(built) == len(self.NAMES) == len(set(built))
+        assert all(has_adaptation(spec) for spec in specs)
+        assert all(r.ok and "artifacts" not in r.metrics for r in results)
+        # One builder per workload plus the base specs, then the rest.
+        assert batches == [3 * len(self.NAMES), 3 * len(self.NAMES)]
+        # With every adaptation at home, a batch is one call, no builds.
+        Runner(jobs=2, cache=None).run(specs)
+        assert batches[2:] == [len(specs)]
+        assert log.read_text().split() == built
+        assert [r.stats.to_dict() for r in results] == \
+            self._serial_stats(specs)
+
+    def test_failed_phase_one_attempts_are_retried(self):
+        # Every spec's first attempt hangs and is killed by the watchdog,
+        # the adaptation builders included; the retries build, carry the
+        # adaptations home and the batch matches a clean run.
+        specs = _grid(self.NAMES[:1])
+        clear_artifact_cache()
+        config = ResilienceConfig(heartbeat_timeout=0.5, **FAST)
+        with injecting("worker.hang:1:1"):
+            runner = Runner(jobs=2, cache=None, resilience=config)
+            results = runner.run(specs)
+        assert runner.telemetry.watchdog_kills >= len(specs)
+        assert all(r.ok and "artifacts" not in r.metrics for r in results)
+        assert all(has_adaptation(spec) for spec in specs)
+        assert [r.stats.to_dict() for r in results] == \
+            self._serial_stats(specs)
+
+    def test_second_phase_builds_lazily_when_nothing_comes_home(
+            self, tmp_path, monkeypatch):
+        specs = _grid(self.NAMES[:1])
+        log = tmp_path / "profiles.log"
+        log.touch()
+        _log_profiles(monkeypatch, log)
+        clear_artifact_cache()
+        results = Runner(jobs=2, cache=None,
+                         task_fn=execute_and_drop_artifacts).run(specs)
+        assert not any(has_adaptation(spec) for spec in specs)
+        # The phase-1 builder, then each second-phase worker on its own.
+        assert len(log.read_text().split()) == 3
+        assert [r.stats.to_dict() for r in results] == \
+            self._serial_stats(specs)
+
+    def test_service_results_carry_no_artifacts(self, tmp_path):
+        clear_artifact_cache()
+        spec = RunSpec.create("mcf", scale="tiny", variant="ssp")
+        runner = Runner(service=tmp_path / "svc")
+        result = runner.run_one(spec)
+        assert result.ok and "artifacts" not in result.metrics
+        entry = runner.cache.get(spec)
+        assert set(entry["metrics"]) == {"delinquent_uids", "prefetch"}
 
 
 class TestExecuteSpec:
