@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..guard import faultinject
-from ..isa.interp import ExecutionError, ThreadState, execute, spawn_thread
+from ..isa.decode import (D_KIND, K_CHK, R_SPAWN, DecodedEntry,
+                          decode_program, step_decoded)
+from ..isa.interp import ExecutionError, ThreadState, spawn_thread
 from ..isa.memory import Heap
 from ..isa.program import Program
 
@@ -197,6 +199,10 @@ class ShadowInterpreter:
     the paper relies on).  What it surfaces as errors is exactly what would
     corrupt the main program: a speculative store, or main-thread state
     that diverges from the unadapted run.
+
+    Main and speculative threads step the pre-decoded table of
+    :mod:`repro.isa.decode` with :func:`~repro.isa.decode.step_decoded`,
+    the same per-instruction semantics the timing simulators use.
     """
 
     def __init__(self, program: Program, heap: Heap, *,
@@ -217,53 +223,63 @@ class ShadowInterpreter:
 
     def run(self) -> ThreadState:
         program = self.program
+        heap = self.heap
+        dcode = decode_program(program)
         state = ThreadState(tid=0,
                             pc=program.function_entry[program.entry])
-        code = program.code
+        chk_fires = self._chk_fires
+        fire_limit = self.fire_limit
+        max_steps = self.max_steps
         steps = 0
-        while not state.done:
-            if steps >= self.max_steps:
+        while not (state.halted or state.killed):
+            if steps >= max_steps:
                 raise ExecutionError(
-                    f"exceeded {self.max_steps} steps; infinite loop?")
-            instr = code[state.pc]
+                    f"exceeded {max_steps} steps; infinite loop?")
+            pc = state.pc
+            d = dcode[pc]
             fires = False
-            if instr.op == "chk.c":
-                fired = self._chk_fires.get(state.pc, 0)
-                if fired < self.fire_limit:
-                    self._chk_fires[state.pc] = fired + 1
+            if d[D_KIND] == K_CHK:
+                fired = chk_fires.get(pc, 0)
+                if fired < fire_limit:
+                    chk_fires[pc] = fired + 1
                     fires = True
-            result = execute(program, self.heap, state, instr,
-                             chk_fires=fires)
-            if result.spawn_target is not None:
+            spawn_target = step_decoded(program, heap, state, d,
+                                        fires)[R_SPAWN]
+            if spawn_target is not None:
                 home = program.function_of_index[state.pc]
-                self._run_speculative(state, result.spawn_target, home)
+                self._run_speculative(dcode, state, spawn_target, home)
             steps += 1
         return state
 
-    def _run_speculative(self, parent: ThreadState, target_pc: int,
+    def _run_speculative(self, dcode: List[DecodedEntry],
+                         parent: ThreadState, target_pc: int,
                          home: str) -> None:
         """Eagerly run one speculative thread (and any chains it spawns)."""
+        program = self.program
+        heap = self.heap
+        budget = self.spec_step_budget
         chained = 0
         pending = [spawn_thread(parent, self._tid(), target_pc)]
         while pending:
             child = pending.pop()
             self.spawned_threads += 1
             steps = 0
-            while not child.done:
-                if steps >= self.spec_step_budget:
+            while not (child.halted or child.killed):
+                if steps >= budget:
                     self.killed_by_budget += 1
                     break  # silent containment kill, not an error
-                instr = self.program.code[child.pc]
+                d = dcode[child.pc]
                 try:
-                    result = execute(self.program, self.heap, child, instr)
+                    spawn_target = step_decoded(program, heap, child,
+                                                d)[R_SPAWN]
                 except ExecutionError as exc:
                     raise SpeculativeEffectError(str(exc), function=home) \
                         from exc
-                if result.spawn_target is not None:
+                if spawn_target is not None:
                     chained += 1
                     if chained <= self.max_chained:
                         pending.append(spawn_thread(
-                            child, self._tid(), result.spawn_target))
+                            child, self._tid(), spawn_target))
                     # past the cap: silently drop the chain spawn
                 steps += 1
 

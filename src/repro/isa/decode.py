@@ -1,19 +1,30 @@
-"""Pre-decoded issue tables for the timing simulators' hot loops.
+"""Pre-decoded instruction tables for every hot step loop.
 
-``repro.isa`` instructions are convenient value objects, but the per-cycle
-issue path pays for that convenience on every tick: ``Instruction.reads``
+``repro.isa`` instructions are convenient value objects, but a step loop
+pays for that convenience on every instruction: ``Instruction.reads``
 builds a tuple per call, ``fixed_latency()`` is a dict probe, opcode
 dispatch is a string-compare chain, and ``execute`` allocates an
 :class:`~repro.isa.interp.ExecResult` per instruction.  This module decodes
 a finalised :class:`~repro.isa.program.Program` **once** into flat
-per-instruction tuples of plain ints/strings/callables so the simulators'
-fast paths (``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups
-and zero ``getattr`` per issued instruction.
+per-instruction tuples of plain ints/strings/callables, so a loop spends
+no dict probe, ``getattr`` or string dispatch on decoding an instruction.
+Four loops step the table with :func:`step_decoded`:
+
+* the in-order simulator's fast cycle loop (``repro.sim.inorder``);
+* the OOO simulator's fast cycle loop (``repro.sim.ooo``);
+* :class:`~repro.isa.interp.FunctionalInterpreter`, the profile's
+  execution-count pass;
+* :class:`~repro.codegen.verify.ShadowInterpreter`, the differential
+  verify's main and speculative threads.
+
+The sampled-simulation mode's functional fast-forward
+(``repro.sim.sampling``) steps it too.
 
 :func:`step_decoded` is a semantics-preserving mirror of
-:func:`repro.isa.interp.execute` over a decoded entry — byte-identical
-architectural behaviour is the contract (enforced by the differential suite
-in ``tests/test_sim_fastpath.py``), the only difference being that results
+:func:`repro.isa.interp.execute`, which only the simulators' legacy cycle
+loops still use — byte-identical architectural behaviour is the contract
+(enforced by the differential suites in ``tests/test_sim_fastpath.py`` and
+``tests/test_interp_decoded.py``), the only difference being that results
 are plain tuples (shared singletons for the common cases) instead of
 ``ExecResult`` objects.
 

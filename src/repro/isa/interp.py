@@ -1,10 +1,14 @@
 """Architectural (functional) semantics shared by all execution engines.
 
 A :class:`ThreadState` is one hardware thread context's architectural state.
-:func:`execute` steps one instruction functionally and reports what happened
-in an :class:`ExecResult`; both timing simulators (``repro.sim.inorder``,
-``repro.sim.ooo``) and the fast :class:`FunctionalInterpreter` are built on
-it, so there is exactly one definition of what each opcode *does*.
+:func:`execute` steps one :class:`~repro.isa.instructions.Instruction`
+functionally and reports what happened in an :class:`ExecResult`; only the
+legacy cycle loops of the two timing simulators (``repro.sim.inorder``,
+``repro.sim.ooo``) still step through it.  Everything else — the fast cycle
+loops, :class:`FunctionalInterpreter` and the differential verify's
+``ShadowInterpreter`` — steps :func:`repro.isa.decode.step_decoded`, its
+mirror over a pre-decoded table.  ``tests/test_sim_fastpath.py`` and
+``tests/test_interp_decoded.py`` hold the two to identical behaviour.
 
 Speculative threads never modify the main thread's architectural state: they
 have their own :class:`ThreadState`, may not execute stores (the emitter
@@ -290,6 +294,10 @@ class FunctionalInterpreter:
     block/call-graph profilers.  Runs a single thread; ``chk.c`` never fires
     and ``spawn`` is ignored (a spawn with no free context is dropped, and
     functionally a p-slice has no architectural effect anyway).
+
+    Steps the pre-decoded table of :mod:`repro.isa.decode` with
+    :func:`~repro.isa.decode.step_decoded`, the same per-instruction
+    semantics the timing simulators use.
     """
 
     def __init__(self, program: Program, heap: Heap,
@@ -305,27 +313,34 @@ class FunctionalInterpreter:
 
     def run(self, count: bool = True) -> ThreadState:
         """Run from the program entry until halt; returns the final state."""
+        # decode imports this module, so it is imported here.
+        from .decode import (D_KIND, D_SRC0, D_UID, K_CALLI, decode_program,
+                             step_decoded)
         program = self.program
+        heap = self.heap
+        dcode = decode_program(program)
         state = ThreadState(tid=0,
                             pc=program.function_entry[program.entry])
         counts = self.exec_counts
-        code = program.code
+        indirect = self.indirect_targets
+        function_by_id = program.function_by_id
+        max_steps = self.max_steps
         steps = 0
-        while not state.done:
-            if steps >= self.max_steps:
+        while not (state.halted or state.killed):
+            if steps >= max_steps:
                 raise ExecutionError(
-                    f"exceeded {self.max_steps} steps; infinite loop?")
-            instr = code[state.pc]
+                    f"exceeded {max_steps} steps; infinite loop?")
+            d = dcode[state.pc]
             if count:
-                uid = instr.uid
+                uid = d[D_UID]
                 counts[uid] = counts.get(uid, 0) + 1
-            if instr.op == "br.call.ind":
-                fid = state.regs.get(instr.srcs[0], 0)
-                if 0 <= fid < len(program.function_by_id):
-                    per_site = self.indirect_targets.setdefault(instr.uid, {})
-                    name = program.function_by_id[fid]
+            if d[D_KIND] == K_CALLI:
+                fid = state.regs.get(d[D_SRC0], 0)
+                if 0 <= fid < len(function_by_id):
+                    per_site = indirect.setdefault(d[D_UID], {})
+                    name = function_by_id[fid]
                     per_site[name] = per_site.get(name, 0) + 1
-            execute(program, self.heap, state, instr)
+            step_decoded(program, heap, state, d)
             steps += 1
         self.steps += steps
         return state

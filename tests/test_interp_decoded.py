@@ -1,0 +1,377 @@
+"""The tool's functional interpreters against the ``execute`` step loops.
+
+:class:`~repro.isa.interp.FunctionalInterpreter` (the profile's
+execution-count pass) and :class:`~repro.codegen.verify.ShadowInterpreter`
+(the differential verify) walk the pre-decoded table with
+``step_decoded``.  The two reference classes below keep the loops they
+replaced, which step ``Instruction`` objects through ``interp.execute``;
+this module checks that both interpreters agree with them:
+
+* on the fuzz corpus of ``tests/test_sim_fastpath.py``, original and
+  adapted binaries: final registers, predicates, heap words,
+  ``exec_counts``, ``indirect_targets`` and ``steps``; for the shadow
+  interpreter also the spawn, budget-kill and ``chk.c`` fire counts;
+* on a program with indirect calls (no workload makes one);
+* on the error paths: exception class, message and culprit function;
+* when the speculative step budget and the chain cap fire.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import SSPPostPassTool, collect_profile
+from repro.check.fuzz import FuzzWorkload
+from repro.codegen.verify import ShadowInterpreter, SpeculativeEffectError
+from repro.isa import (
+    ExecutionError,
+    FunctionalInterpreter,
+    FunctionBuilder,
+    Heap,
+    Program,
+    ThreadState,
+    execute,
+    spawn_thread,
+)
+from repro.isa.instructions import Instruction
+
+FUZZ_SEEDS = tuple(range(25))
+
+
+class ReferenceFunctional(FunctionalInterpreter):
+    """The ``execute`` step loop :class:`FunctionalInterpreter` replaced."""
+
+    def run(self, count: bool = True) -> ThreadState:
+        program = self.program
+        state = ThreadState(tid=0,
+                            pc=program.function_entry[program.entry])
+        counts = self.exec_counts
+        code = program.code
+        steps = 0
+        while not state.done:
+            if steps >= self.max_steps:
+                raise ExecutionError(
+                    f"exceeded {self.max_steps} steps; infinite loop?")
+            instr = code[state.pc]
+            if count:
+                uid = instr.uid
+                counts[uid] = counts.get(uid, 0) + 1
+            if instr.op == "br.call.ind":
+                fid = state.regs.get(instr.srcs[0], 0)
+                if 0 <= fid < len(program.function_by_id):
+                    per_site = self.indirect_targets.setdefault(instr.uid, {})
+                    name = program.function_by_id[fid]
+                    per_site[name] = per_site.get(name, 0) + 1
+            execute(program, self.heap, state, instr)
+            steps += 1
+        self.steps += steps
+        return state
+
+
+class ReferenceShadow(ShadowInterpreter):
+    """The ``execute`` step loops :class:`ShadowInterpreter` replaced."""
+
+    def run(self) -> ThreadState:
+        program = self.program
+        state = ThreadState(tid=0,
+                            pc=program.function_entry[program.entry])
+        code = program.code
+        steps = 0
+        while not state.done:
+            if steps >= self.max_steps:
+                raise ExecutionError(
+                    f"exceeded {self.max_steps} steps; infinite loop?")
+            instr = code[state.pc]
+            fires = False
+            if instr.op == "chk.c":
+                fired = self._chk_fires.get(state.pc, 0)
+                if fired < self.fire_limit:
+                    self._chk_fires[state.pc] = fired + 1
+                    fires = True
+            result = execute(program, self.heap, state, instr,
+                             chk_fires=fires)
+            if result.spawn_target is not None:
+                home = program.function_of_index[state.pc]
+                self._run_reference_speculative(state, result.spawn_target,
+                                                home)
+            steps += 1
+        return state
+
+    def _run_reference_speculative(self, parent: ThreadState,
+                                   target_pc: int, home: str) -> None:
+        chained = 0
+        pending = [spawn_thread(parent, self._tid(), target_pc)]
+        while pending:
+            child = pending.pop()
+            self.spawned_threads += 1
+            steps = 0
+            while not child.done:
+                if steps >= self.spec_step_budget:
+                    self.killed_by_budget += 1
+                    break
+                instr = self.program.code[child.pc]
+                try:
+                    result = execute(self.program, self.heap, child, instr)
+                except ExecutionError as exc:
+                    raise SpeculativeEffectError(str(exc), function=home) \
+                        from exc
+                if result.spawn_target is not None:
+                    chained += 1
+                    if chained <= self.max_chained:
+                        pending.append(spawn_thread(
+                            child, self._tid(), result.spawn_target))
+                steps += 1
+
+
+def _state(state: ThreadState, heap: Heap) -> dict:
+    return {"regs": dict(state.regs), "preds": dict(state.preds),
+            "pc": state.pc, "halted": state.halted, "killed": state.killed,
+            "lib_out": list(state.lib_out), "heap": dict(heap._words)}
+
+
+def _functional(cls, program, heap_factory, **kwargs) -> dict:
+    interp = cls(program, heap_factory(), **kwargs)
+    first = _state(interp.run(), interp.heap)
+    # A second, uncounted run over the same heap: steps accumulate,
+    # exec_counts do not.
+    second = _state(interp.run(count=False), interp.heap)
+    return {"first": first, "second": second,
+            "exec_counts": interp.exec_counts,
+            "indirect_targets": interp.indirect_targets,
+            "steps": interp.steps}
+
+
+def _shadow(cls, program, heap_factory, **kwargs) -> dict:
+    interp = cls(program, heap_factory(), **kwargs)
+    return {"final": _state(interp.run(), interp.heap),
+            "spawned_threads": interp.spawned_threads,
+            "killed_by_budget": interp.killed_by_budget,
+            "chk_fires": interp._chk_fires}
+
+
+def _raised(run) -> tuple:
+    with pytest.raises(ExecutionError) as info:
+        run()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "function", None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus():
+    """(seed, workload, original, adapted) for every fuzz seed."""
+    corpus = []
+    for seed in FUZZ_SEEDS:
+        w = FuzzWorkload(seed)
+        program = w.build_program()
+        profile = collect_profile(program, w.build_heap)
+        result = SSPPostPassTool().adapt(program, profile)
+        adapted = result.program if result.adapted is not None else None
+        corpus.append((seed, w, program, adapted))
+    return corpus
+
+
+def test_fuzz_corpus_adapts(fuzz_corpus):
+    # Otherwise the shadow comparison below never runs a p-slice.
+    assert sum(adapted is not None for *_, adapted in fuzz_corpus) >= 20
+
+
+def test_functional_matches_reference_on_fuzz_corpus(fuzz_corpus):
+    for seed, w, program, adapted in fuzz_corpus:
+        for prog in (program, adapted or program):
+            got = _functional(FunctionalInterpreter, prog, w.build_heap)
+            want = _functional(ReferenceFunctional, prog, w.build_heap)
+            assert got == want, seed
+
+
+def test_shadow_matches_reference_on_fuzz_corpus(fuzz_corpus):
+    spawned = 0
+    for seed, w, program, adapted in fuzz_corpus:
+        for prog in (program, adapted or program):
+            got = _shadow(ShadowInterpreter, prog, w.build_heap)
+            want = _shadow(ReferenceShadow, prog, w.build_heap)
+            assert got == want, seed
+            spawned += got["spawned_threads"]
+    assert spawned > 0
+
+
+# -- hand-built programs ---------------------------------------------------------
+
+N_ARCS = 120
+STRIDE = 64
+
+
+def _scan_layout():
+    """Heap of the Figure 3 arc scan, with its arc array and output cell."""
+    heap = Heap(1 << 20)
+    nodes = [heap.alloc(64, align=64) for _ in range(40)]
+    arcs = heap.alloc(N_ARCS * STRIDE, align=64)
+    for i in range(N_ARCS):
+        heap.store(arcs + i * STRIDE, nodes[i % len(nodes)])
+    for i, node in enumerate(nodes):
+        heap.store(node + 16, i)
+    out = heap.alloc(8)
+    return heap, arcs, out
+
+
+def _scan_heap() -> Heap:
+    return _scan_layout()[0]
+
+
+def _scan_program(spec_store: bool = False) -> Program:
+    """``main`` calls ``scan``, an arc scan adapted with a chaining
+    p-slice; ``spec_store`` makes the p-slice write memory."""
+    _, arcs, out = _scan_layout()
+    prog = Program(entry="main")
+    m = FunctionBuilder(prog.add_function("main"))
+    m.call("scan")
+    m.halt()
+
+    fb = FunctionBuilder(prog.add_function("scan"))
+    fb.mov_imm(arcs, dest="r50")
+    fb.mov_imm(arcs + N_ARCS * STRIDE, dest="r51")
+    fb.mov_imm(0, dest="r52")
+    fb.chk_c("stub1")
+    fb.label("loop")
+    u = fb.load("r50", 0)
+    pot = fb.load(u, 16)
+    fb.add("r52", pot, dest="r52")
+    fb.add("r50", imm=STRIDE, dest="r50")
+    p = fb.cmp("lt", "r50", "r51")
+    fb.br_cond(p, "loop")
+    fb.store(fb.mov_imm(out), "r52")
+    fb.ret()
+
+    fb.label("stub1")
+    fb.lib_store(0, "r50")
+    fb.lib_store(1, "r51")
+    fb.spawn("slice1")
+    fb.rfi()
+
+    fb.label("slice1")
+    fb.lib_load(0, dest="r60")
+    fb.lib_load(1, dest="r61")
+    fb.mov("r60", dest="r62")
+    fb.add("r60", imm=STRIDE, dest="r60")
+    fb.lib_store(0, "r60")
+    fb.lib_store(1, "r61")
+    pc2 = fb.cmp("lt", "r60", "r61")
+    fb.emit(Instruction(op="spawn", target="slice1", pred=pc2))
+    fb.load("r62", 0, dest="r63")
+    if spec_store:
+        fb.store("r63", "r62")
+    fb.prefetch("r63", 16)
+    fb.kill()
+    prog.finalize()
+    return prog
+
+
+def _indirect_program() -> Program:
+    """A loop whose indirect call alternates between two callees, plus a
+    predicated-off indirect call."""
+    prog = Program(entry="main")
+    for name, value in (("f1", 3), ("f2", 5)):
+        g = FunctionBuilder(prog.add_function(name))
+        g.ret(g.mov_imm(value))
+    prog.finalize()  # to learn the function ids
+    f1, f2 = prog.function_id["f1"], prog.function_id["f2"]
+    m = FunctionBuilder(prog.add_function("main"))
+    m.mov_imm(0, dest="r50")
+    m.mov_imm(0, dest="r51")
+    m.label("loop")
+    odd = m.and_("r50", imm=1)
+    is_odd = m.cmp("ne", odd, imm=0)
+    fid = m.mov_imm(f1)
+    m.emit(Instruction(op="mov", dest=fid, imm=f2, pred=is_odd))
+    r = m.fresh()
+    m.call_indirect(fid, ret=r)
+    m.add("r51", r, dest="r51")
+    never = m.cmp("lt", "r50", imm=0)
+    m.emit(Instruction(op="br.call.ind", srcs=(fid,), pred=never))
+    m.add("r50", imm=1, dest="r50")
+    more = m.cmp("lt", "r50", imm=7)
+    m.br_cond(more, "loop")
+    m.halt()
+    prog.finalize()
+    return prog
+
+
+def test_functional_matches_reference_on_indirect_calls():
+    prog = _indirect_program()
+    got = _functional(FunctionalInterpreter, prog, lambda: Heap(1 << 14))
+    want = _functional(ReferenceFunctional, prog, lambda: Heap(1 << 14))
+    assert got == want
+    # Both sites are recorded, the predicated-off one included, on the
+    # uncounted second run too.
+    assert sorted(sorted(t.items()) for t in got["indirect_targets"].values()) \
+        == [[("f1", 8), ("f2", 6)], [("f1", 8), ("f2", 6)]]
+    assert got["first"]["regs"]["r51"] == 4 * 3 + 3 * 5
+
+
+def test_shadow_matches_reference_on_scan():
+    prog = _scan_program()
+    got = _shadow(ShadowInterpreter, prog, _scan_heap)
+    assert got == _shadow(ReferenceShadow, prog, _scan_heap)
+    assert got["spawned_threads"] > 1 and got["killed_by_budget"] == 0
+
+
+@pytest.mark.parametrize("budget,max_chained,cut", [
+    (9, 4096, False),   # each thread spawns its successor, then is killed
+    (4096, 3, True),    # the chain cap drops the fourth chained spawn
+    (7, 4096, True),    # killed just before the chain spawn, the 8th step
+])
+def test_budgets_fire_identically(budget, max_chained, cut):
+    prog = _scan_program()
+    kwargs = {"spec_step_budget": budget, "max_chained": max_chained}
+    got = _shadow(ShadowInterpreter, prog, _scan_heap, **kwargs)
+    want = _shadow(ReferenceShadow, prog, _scan_heap, **kwargs)
+    assert got == want
+    if budget < 4096:
+        assert got["killed_by_budget"] > 0
+    unbounded = _shadow(ShadowInterpreter, prog, _scan_heap)
+    assert (got["spawned_threads"] < unbounded["spawned_threads"]) == cut
+
+
+# -- error paths ---------------------------------------------------------------
+
+
+def _bad_load_program() -> Program:
+    prog = Program(entry="main")
+    fb = FunctionBuilder(prog.add_function("main"))
+    fb.load(fb.mov_imm(3))  # misaligned, below the heap
+    fb.halt()
+    prog.finalize()
+    return prog
+
+
+def _spin_program() -> Program:
+    prog = Program(entry="main")
+    fb = FunctionBuilder(prog.add_function("main"))
+    fb.label("spin")
+    fb.br("spin")
+    prog.finalize()
+    return prog
+
+
+@pytest.mark.parametrize("decoded,reference", [
+    (FunctionalInterpreter, ReferenceFunctional),
+    (ShadowInterpreter, ReferenceShadow),
+])
+@pytest.mark.parametrize("build,kwargs,match", [
+    (_bad_load_program, {}, "bad load address"),
+    (_spin_program, {"max_steps": 1000}, "exceeded 1000 steps"),
+])
+def test_main_thread_errors_unchanged(decoded, reference, build, kwargs,
+                                      match):
+    prog = build()
+    got = _raised(decoded(prog, Heap(1 << 14), **kwargs).run)
+    assert got == _raised(reference(prog, Heap(1 << 14), **kwargs).run)
+    assert got[0] is ExecutionError and match in got[1]
+
+
+def test_speculative_store_error_unchanged():
+    prog = _scan_program(spec_store=True)
+    got = _raised(ShadowInterpreter(prog, _scan_heap()).run)
+    assert got == _raised(ReferenceShadow(prog, _scan_heap()).run)
+    assert got[0] is SpeculativeEffectError
+    assert "attempted a store" in got[1]
+    assert got[2] == "scan"
