@@ -2,16 +2,15 @@
 
 ``repro.isa`` instructions are convenient value objects, but a step loop
 pays for that convenience on every instruction: ``Instruction.reads``
-builds a tuple per call, ``fixed_latency()`` is a dict probe, opcode
-dispatch is a string-compare chain, and ``execute`` allocates an
-:class:`~repro.isa.interp.ExecResult` per instruction.  This module decodes
-a finalised :class:`~repro.isa.program.Program` **once** into flat
-per-instruction tuples of plain ints/strings/callables, so a loop spends
-no dict probe, ``getattr`` or string dispatch on decoding an instruction.
+builds a tuple per call, ``fixed_latency()`` is a dict probe, and opcode
+dispatch is a string-compare chain.  This module decodes a finalised
+:class:`~repro.isa.program.Program` **once** into flat per-instruction
+tuples of plain ints/strings/callables, so a loop spends no dict probe,
+``getattr`` or string dispatch on decoding an instruction.
 Four loops step the table with :func:`step_decoded`:
 
-* the in-order simulator's fast cycle loop (``repro.sim.inorder``);
-* the OOO simulator's fast cycle loop (``repro.sim.ooo``);
+* the in-order simulator's cycle loop (``repro.sim.inorder``);
+* the OOO simulator's cycle loop (``repro.sim.ooo``);
 * :class:`~repro.isa.interp.FunctionalInterpreter`, the profile's
   execution-count pass;
 * :class:`~repro.codegen.verify.ShadowInterpreter`, the differential
@@ -20,13 +19,11 @@ Four loops step the table with :func:`step_decoded`:
 The sampled-simulation mode's functional fast-forward
 (``repro.sim.sampling``) steps it too.
 
-:func:`step_decoded` is a semantics-preserving mirror of
-:func:`repro.isa.interp.execute`, which only the simulators' legacy cycle
-loops still use — byte-identical architectural behaviour is the contract
-(enforced by the differential suites in ``tests/test_sim_fastpath.py`` and
-``tests/test_interp_decoded.py``), the only difference being that results
-are plain tuples (shared singletons for the common cases) instead of
-``ExecResult`` objects.
+:func:`step_decoded` is the one definition of the ISA's per-instruction
+semantics.  ``tests/reference_sim.py`` keeps the ``Instruction``-object
+step it replaced as a test oracle, and the differential suites in
+``tests/test_sim_fastpath.py`` and ``tests/test_interp_decoded.py`` hold
+the two to byte-identical architectural behaviour.
 
 The decode cache is keyed on ``Program._decode_version``, bumped by every
 ``Program.finalize()`` — the tool's in-place nop→``chk.c`` patching is
@@ -37,9 +34,8 @@ assumes the program is not mutated *between* ``finalize()`` and the run.
 
 from __future__ import annotations
 
-import os
 import weakref
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from .instructions import (
     ALU_OPS,
@@ -153,19 +149,6 @@ def decode_program(program: Program) -> List[DecodedEntry]:
     return table
 
 
-def resolve_fast_path(fast_path: Optional[bool]) -> bool:
-    """Resolve a simulator's ``fast_path`` constructor argument.
-
-    ``None`` (the default) enables the fast path unless the
-    ``REPRO_SIM_LEGACY`` environment variable is set truthy — the escape
-    hatch CI uses to pin a legacy-interpretation baseline for the speedup
-    gate, and users can use to cross-check a suspect run.
-    """
-    if fast_path is not None:
-        return fast_path
-    return os.environ.get("REPRO_SIM_LEGACY", "") not in ("1", "true", "yes")
-
-
 # ---------------------------------------------------------------------------
 # Functional step over a decoded entry
 # ---------------------------------------------------------------------------
@@ -186,10 +169,13 @@ _TRUE_PREDICATE = regs.TRUE_PREDICATE
 
 def step_decoded(program: Program, heap: Heap, state: ThreadState,
                  d: DecodedEntry, chk_fires: bool = False) -> Tuple:
-    """Architecturally step one decoded instruction.
+    """Architecturally step one decoded instruction on ``state``.
 
-    Mirror of :func:`repro.isa.interp.execute`, returning a plain
-    ``(mem_addr, taken, spawn_target, executed, chk_taken)`` tuple.
+    ``chk_fires`` tells a ``chk.c`` whether a free hardware context is
+    available (the timing model's decision); when false the check behaves
+    like a nop, per Section 3.4.2.  Returns a plain ``(mem_addr, taken,
+    spawn_target, executed, chk_taken)`` tuple, a shared singleton for the
+    common cases.
     """
     pc = state.pc
     pred = d[D_PRED]
@@ -271,9 +257,9 @@ def step_decoded(program: Program, heap: Heap, state: ThreadState,
         return _R_TAKEN
 
     if kind == K_BRC:
-        # A false qualifying predicate was squashed above, and execute()
-        # treats the predicate as the branch condition — an *executed*
-        # br.cond is always taken.
+        # A false qualifying predicate was squashed above, and the
+        # predicate is also the branch condition — an *executed* br.cond
+        # is always taken.
         state.pc = d[D_TARGET]
         return _R_TAKEN
 

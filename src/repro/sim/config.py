@@ -46,6 +46,8 @@ class MachineConfig:
     #: Max bundles fetched+issued per cycle: 2 from one thread, or 1 each
     #: from two threads.
     bundles_per_cycle: int = 2
+    #: Threads that may issue in one cycle: 1 or 2 (the in-order issue
+    #: stage selects at most two candidates).
     max_threads_per_cycle: int = 2
 
     # OOO structures (ignored by the in-order model).
@@ -108,6 +110,14 @@ class MachineConfig:
     throttle_sample_fires: int = 8
     #: Minimum main-thread partial hits per fire to keep a trigger alive.
     throttle_min_benefit: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Overrides arrive from outside the program (RunSpec payloads),
+        # so a value the issue stage cannot model is refused, not run.
+        if self.max_threads_per_cycle not in (1, 2):
+            raise ValueError(
+                f"max_threads_per_cycle must be 1 or 2, got "
+                f"{self.max_threads_per_cycle!r}")
 
     @property
     def issue_width(self) -> int:

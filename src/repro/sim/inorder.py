@@ -9,7 +9,7 @@ bundle each from two threads, shared function units (4 int, 3 branch,
 contexts with lightweight-exception spawning for SSP.
 
 The simulator is execution-driven: instructions execute architecturally at
-issue (via :func:`repro.isa.interp.execute`), so speculative threads
+issue (via :func:`repro.isa.decode.step_decoded`), so speculative threads
 compute real addresses and their prefetches warm the shared caches that the
 main thread then hits — the entire SSP effect is emergent, not modelled.
 
@@ -48,10 +48,9 @@ from ..isa.decode import (
     RES_INT,
     RES_MEM,
     decode_program,
-    resolve_fast_path,
     step_decoded,
 )
-from ..isa.interp import ExecutionError, ThreadState, execute, spawn_thread
+from ..isa.interp import ExecutionError, ThreadState, spawn_thread
 from ..isa.memory import HEAP_BASE, Heap
 from ..isa.program import Program
 from ..isa import registers as regs
@@ -116,22 +115,16 @@ class InOrderSimulator:
     SPAWN_WAIT_LIMIT = 1500
 
     def __init__(self, program: Program, heap: Heap, config: MachineConfig,
-                 spawning: bool = True, max_cycles: int = 200_000_000,
-                 fast_path: Optional[bool] = None):
+                 spawning: bool = True, max_cycles: int = 200_000_000):
         if not program.finalized:
             program.finalize()
         self.program = program
-        #: Issue from the pre-decoded table (repro.isa.decode) instead of
-        #: re-interpreting Instruction objects per cycle.  Byte-identical
-        #: SimStats either way; ``None`` resolves via REPRO_SIM_LEGACY.
-        self.fast_path = resolve_fast_path(fast_path)
-        # The decoded table is built unconditionally: the sampled mode's
-        # functional fast-forward uses it even on the legacy path.
+        #: Issue table (repro.isa.decode): the run loop and the sampled
+        #: mode's functional fast-forward step it.
         self._dcode = decode_program(program)
         self._dreads = [d[D_READS] for d in self._dcode]
         n_ctx = config.hardware_contexts
-        # Precomputed speculative-context round-robin orders, one per _rr
-        # value (the legacy loop rebuilds this list every cycle).
+        # Precomputed speculative-context round-robin orders, one per _rr.
         self._slot_orders = {
             rr: tuple([0] + [1 + (rr + k - 1) % (n_ctx - 1)
                              for k in range(1, n_ctx)])
@@ -152,9 +145,9 @@ class InOrderSimulator:
         # Outstanding main-thread misses: heap of completion cycles.
         self._main_misses: List[int] = []
         # Live speculative contexts and their cycle-budget deadlines
-        # (spawn_cycle + spec_cycle_budget, min-heap).  The fast loop
+        # (spawn_cycle + spec_cycle_budget, min-heap).  The run loop
         # only walks the context slots when one of these says a context
-        # can actually have died; the legacy loop ignores them.
+        # can actually have died.
         self._live_spec = 0
         self._spec_deadlines: List[int] = []
         self._next_tid = 0
@@ -327,187 +320,7 @@ class InOrderSimulator:
         self.stats.spawns += 1
         return True
 
-    # -- issue logic ---------------------------------------------------------------
-
-    def _blocked_on(self, thread: HWThread, now: int):
-        """If the thread's next instruction can't issue, return
-        (wake_cycle, blocking register); else None."""
-        instr = self.program.code[thread.state.pc]
-        ready = thread.reg_ready
-        worst_cycle, worst_reg = 0, None
-        for reg in instr.reads:
-            t = ready.get(reg, 0)
-            if t > worst_cycle:
-                worst_cycle, worst_reg = t, reg
-        if worst_cycle > now:
-            return worst_cycle, worst_reg
-        return None
-
-    def _issue_thread(self, thread: HWThread, budget: int, now: int,
-                      res: _Resources) -> int:
-        """Issue up to ``budget`` instructions from ``thread`` at ``now``.
-
-        Returns the number issued.  Updates scoreboard, caches, predictor,
-        and may spawn/kill threads.
-        """
-        program = self.program
-        code = program.code
-        state = thread.state
-        config = self.config
-        is_main = state.tid == 0
-        issued = 0
-
-        while issued < budget:
-            # Runaway-slice containment: a speculative context that has
-            # exhausted its instruction budget is killed on the spot.
-            if not is_main:
-                limit = config.spec_instruction_budget
-                if limit and thread.spec_issued >= limit:
-                    state.killed = True
-                    self.stats.budget_kills += 1
-                    break
-
-            instr = code[state.pc]
-            op = instr.op
-
-            # Scoreboard: stall on use of a not-yet-ready register.
-            blocked = self._blocked_on(thread, now)
-            if blocked is not None:
-                thread.wake = blocked[0]
-                break
-
-            # Structural hazards: shared function units.
-            if instr.is_memory:
-                if res.mem == 0:
-                    thread.wake = now + 1
-                    break
-                res.mem -= 1
-            elif instr.is_branch or op in ("chk.c", "spawn"):
-                if res.br == 0:
-                    thread.wake = now + 1
-                    break
-                res.br -= 1
-            else:
-                if res.int_ == 0:
-                    thread.wake = now + 1
-                    break
-                res.int_ -= 1
-
-            # A chaining spawn in a speculative thread *waits* for a free
-            # context (the lightweight exception fires "when a free
-            # hardware context is available", Section 2.1) — this is what
-            # keeps a chain alive as a self-throttling pipeline.  The main
-            # thread never blocks: its chk.c simply does not fire.
-            if (op == "spawn" and not is_main
-                    and self._free_slot() is None):
-                if thread.spawn_parked_pc == state.pc:
-                    # Second attempt with no context: give up — the spawn
-                    # request is ignored (Section 2.1) and the thread runs
-                    # on, which also rules out all-contexts-parked
-                    # deadlock.
-                    thread.spawn_parked_pc = None
-                else:
-                    self.stats.spawn_waits += 1
-                    thread.spawn_parked_pc = state.pc
-                    thread.wake = now + self.SPAWN_WAIT_LIMIT
-                    self._context_waiters.append(thread)
-                    break
-
-            chk_fires = False
-            if op == "chk.c":
-                chk_fires = self.spawning and self._free_slot() is not None
-                if chk_fires and config.dynamic_chk_throttle:
-                    chk_fires = self._throttle_allows(instr.uid)
-
-            pc_before = state.pc
-            # A non-empty rfi stack means the main thread is inside a
-            # recovery stub (between a fired chk.c and its rfi): those
-            # instructions retire on the main thread but are adaptation
-            # overhead, tracked separately so the retired-instruction
-            # oracle can compare models net of fired triggers.
-            in_stub = is_main and bool(state.rfi_stack)
-            result = execute(program, self.heap, state, instr, chk_fires)
-            issued += 1
-            if is_main:
-                self.stats.main_instructions += 1
-                if in_stub:
-                    self.stats.main_stub_instructions += 1
-            else:
-                self.stats.spec_instructions += 1
-                thread.spec_issued += 1
-
-            # -- latency & side effects per class ---------------------------------
-            if op == "ld":
-                if result.mem_addr is not None and result.executed:
-                    access = self.memory.access(
-                        result.mem_addr, now, instr.uid, is_main)
-                    thread.reg_ready[instr.dest] = access.ready
-                    if access.ready > thread.ready_bound:
-                        thread.ready_bound = access.ready
-                    thread.reg_level[instr.dest] = access.level
-                    if is_main and access.level != L1:
-                        heapq.heappush(self._main_misses, access.ready)
-                else:
-                    thread.reg_ready[instr.dest] = now + 1
-                    if now + 1 > thread.ready_bound:
-                        thread.ready_bound = now + 1
-                    thread.reg_level[instr.dest] = None
-            elif op == "st":
-                if result.mem_addr is not None and result.executed:
-                    self.memory.access(result.mem_addr, now, instr.uid,
-                                       is_main, is_store=True)
-            elif op == "lfetch":
-                if result.mem_addr is not None and result.executed:
-                    self.memory.access(result.mem_addr, now, instr.uid,
-                                       is_main, is_prefetch=True)
-                else:
-                    self.memory.prefetches_dropped += 1
-            elif instr.dest is not None and result.executed:
-                latency = instr.fixed_latency()
-                thread.reg_ready[instr.dest] = now + latency
-                if now + latency > thread.ready_bound:
-                    thread.ready_bound = now + latency
-                thread.reg_level[instr.dest] = None
-
-            # -- control flow ------------------------------------------------------
-            if op == "br.cond":
-                penalty = self.predictor.predict_and_update(
-                    pc_before, state.tid, bool(result.taken))
-                if penalty < 0:
-                    self.stats.mispredicts += 1
-                    thread.stall_until = now + 1 + config.mispredict_penalty
-                    thread.wake = thread.stall_until
-                    break
-                if result.taken:
-                    if penalty > 0:
-                        thread.stall_until = now + 1 + penalty
-                        thread.wake = thread.stall_until
-                    break  # taken branch ends this thread's fetch group
-            elif op in ("br", "br.call", "br.call.ind", "br.ret"):
-                if state.halted:
-                    break
-                break  # control transfer ends the fetch group
-            elif op == "chk.c" and result.chk_taken:
-                # Lightweight exception: pipeline flush, resume in the stub.
-                self.stats.chk_fired += 1
-                self._on_chk_fired(instr.uid, now)
-                thread.stall_until = now + config.chk_flush_penalty
-                thread.wake = thread.stall_until
-                break
-            elif op == "chk.c":
-                self.stats.chk_ignored += 1
-            elif op == "spawn":
-                if result.spawn_target is not None:
-                    self._spawn(thread, result.spawn_target, now)
-            elif op in ("kill", "halt"):
-                break
-
-            if state.done:
-                break
-
-        if issued and not state.done and thread.wake <= now:
-            thread.wake = now + 1
-        return issued
+    # -- chk.c throttle ------------------------------------------------------------
 
     def _total_partials(self) -> int:
         return sum(self.memory.partial_counts.values())
@@ -536,205 +349,19 @@ class InOrderSimulator:
         self._chk_fires[chk_uid] = fires + 1
         return True
 
-    # -- accounting -----------------------------------------------------------------
-
-    def _main_category(self, main: Optional[HWThread], issued_main: int,
-                       now: int) -> str:
-        misses = self._main_misses
-        while misses and misses[0] <= now:
-            heapq.heappop(misses)
-        if issued_main > 0:
-            return "CacheExec" if misses else "Exec"
-        if main is None or main.state.done:
-            return "Other"
-        if main.stall_until > now:
-            return "Other"  # flush/redirect bubble
-        blocked = self._blocked_on(main, now)
-        if blocked is not None:
-            level = main.reg_level.get(blocked[1])
-            if level == L1:
-                return "Exec"  # short L1-hit interlock: pipeline still busy
-            if level in STALL_CATEGORY:
-                return STALL_CATEGORY[level]
-            return "Other"
-        return "Other"  # lost fetch slots to other threads, etc.
-
-    # -- main loop --------------------------------------------------------------------
-
-    def run(self, checkpoint_every: Optional[int] = None,
-            on_checkpoint=None,
-            until_cycle: Optional[int] = None) -> SimStats:
-        """Simulate until the main thread halts; returns the statistics.
-
-        Args:
-            checkpoint_every: with ``on_checkpoint``, invoke the callback
-                at the first cycle boundary at or past every multiple of
-                this many cycles (the callback must not mutate simulator
-                state — it typically calls :meth:`snapshot`).
-            on_checkpoint: ``callback(simulator)`` for periodic
-                checkpoints/heartbeats.  Checkpoint cadence never affects
-                the simulated statistics.
-            until_cycle: stop at the first cycle boundary at or past this
-                cycle instead of running to completion (the sampled mode's
-                detailed-window driver); a later :meth:`run` continues.
-
-        A simulator whose state was installed by :meth:`restore` continues
-        from the checkpointed cycle instead of starting over.
-        """
-        # The fast select path tracks at most two candidate threads; fall
-        # back to the reference loop for exotic wider-fetch overrides.
-        if self.fast_path and self.config.max_threads_per_cycle <= 2:
-            return self._run_fast(checkpoint_every, on_checkpoint,
-                                  until_cycle)
-        return self._run_legacy(checkpoint_every, on_checkpoint,
-                                until_cycle)
-
-    def _run_legacy(self, checkpoint_every: Optional[int] = None,
-                    on_checkpoint=None,
-                    until_cycle: Optional[int] = None) -> SimStats:
-        """Reference per-cycle loop interpreting Instruction objects.
-
-        Kept verbatim as the behavioural oracle for the pre-decoded fast
-        path (``REPRO_SIM_LEGACY=1`` selects it; the differential suite
-        asserts byte-identical SimStats against :meth:`_run_fast`).
-        """
-        config = self.config
-        if not self._started:
-            self._begin()
-        main = self.contexts[0]
-        stats = self.stats
-        now = self._now
-        next_checkpoint = None
-        if on_checkpoint is not None and checkpoint_every:
-            next_checkpoint = now + checkpoint_every
-
-        while not main.state.done:
-            if until_cycle is not None and now >= until_cycle:
-                break
-            if next_checkpoint is not None and now >= next_checkpoint:
-                self._now = now
-                on_checkpoint(self)
-                while next_checkpoint <= now:
-                    next_checkpoint += checkpoint_every
-            if now >= self.max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {self.max_cycles} cycles")
-            # Profiling gate: one int compare per iteration when off
-            # (``_prof_next`` is the far-future sentinel).  On a sampled
-            # iteration ``prof`` goes non-None and the loop takes wall
-            # laps at its phase boundaries below.
-            prof = None
-            if now >= self._prof_next:
-                prof = self._profiler
-                t_prof = prof.begin(now)
-
-            # Reap finished speculative threads; wake any chain spawner
-            # that was parked waiting for a context.
-            cycle_budget = config.spec_cycle_budget
-            for slot in range(1, config.hardware_contexts):
-                ctx = self.contexts[slot]
-                if (ctx is not None and cycle_budget
-                        and not ctx.state.done
-                        and now - ctx.spawn_cycle >= cycle_budget):
-                    # Containment: the context outlived its cycle budget.
-                    ctx.state.killed = True
-                    stats.budget_kills += 1
-                if ctx is not None and ctx.state.done:
-                    self.contexts[slot] = None
-                    stats.threads_completed += 1
-                    self._on_reap(slot, now)
-                    if self._context_waiters:
-                        for waiter in self._context_waiters:
-                            if not waiter.state.done:
-                                waiter.wake = now
-                        self._context_waiters = []
-            if prof is not None:
-                t_prof = prof.lap("reap", t_prof)
-
-            # Select up to two issuable threads: the main thread has fetch
-            # priority (speculative threads use *otherwise idle* resources);
-            # speculative contexts share the remaining slot round-robin.
-            candidates: List[HWThread] = []
-            n_ctx = config.hardware_contexts
-            slot_order = [0] + [1 + (self._rr + k - 1) % (n_ctx - 1)
-                                for k in range(1, n_ctx)]
-            for slot in slot_order:
-                ctx = self.contexts[slot]
-                if (ctx is None or ctx.state.done or ctx.stall_until > now
-                        or ctx.wake > now):
-                    continue
-                if self._blocked_on(ctx, now) is None:
-                    candidates.append(ctx)
-                    if len(candidates) == config.max_threads_per_cycle:
-                        break
-            self._rr = self._rr % (n_ctx - 1) + 1
-            if prof is not None:
-                t_prof = prof.lap("select", t_prof)
-
-            issued_main = 0
-            if candidates:
-                res = _Resources(config)
-                if len(candidates) == 1:
-                    budget = config.issue_width
-                else:
-                    budget = config.bundle_size
-                for ctx in candidates:
-                    n = self._issue_thread(ctx, budget, now, res)
-                    if ctx is main:
-                        issued_main = n
-            if prof is not None:
-                t_prof = prof.lap("issue", t_prof)
-
-            stats.charge(self._main_category(main, issued_main, now))
-            if prof is not None:
-                prof.lap("account", t_prof)
-                self._prof_next = prof.sample(now, stats, issued_main,
-                                              not candidates)
-            if main.state.done:
-                now += 1
-                break
-
-            if candidates:
-                now += 1
-                continue
-
-            # Nothing issuable: skip to the earliest wake-up.
-            wake = _FAR_FUTURE
-            for ctx in self.contexts:
-                if ctx is None or ctx.state.done:
-                    continue
-                w = max(ctx.stall_until, ctx.wake)
-                blocked = self._blocked_on(ctx, now)
-                if blocked is not None:
-                    w = max(w, blocked[0])
-                wake = min(wake, w)
-            if wake == _FAR_FUTURE or wake <= now:
-                wake = now + 1
-            skip = wake - now - 1
-            if skip > 0:
-                stats.charge(self._main_category(main, 0, now), skip)
-            now = wake
-
-        self._now = now
-        stats.cycles = now
-        stats.mispredicts = self.predictor.mispredicts
-        return stats
-
-    # -- pre-decoded fast path ---------------------------------------------------
+    # -- issue, accounting and the run loop --------------------------------------
 
     def _issue_thread_fast(self, thread: HWThread, budget: int, now: int,
                            res: _Resources) -> int:
-        """Decoded-table twin of :meth:`_issue_thread`.
+        """Issue up to ``budget`` instructions from ``thread`` at ``now``.
 
-        One fused dispatch per instruction over ``repro.isa.decode``
-        tuples: the architectural step (mirroring ``interp.execute``),
-        instruction counters, scoreboard/latency updates and control
-        flow are a single branch per kind — no Instruction attribute
-        access, no ExecResult allocation, and the per-instruction
-        counters and unit pools accumulate in locals that flush once per
-        call.  Behaviour is byte-identical to the legacy method (see its
-        comments for the model rationale); the differential suite
-        enforces it.
+        Returns the number issued.  Updates scoreboard, caches, predictor,
+        and may spawn/kill threads.  One fused dispatch per instruction
+        over ``repro.isa.decode`` tuples: the architectural step
+        (:func:`~repro.isa.decode.step_decoded`'s semantics), instruction
+        counters, scoreboard/latency updates and control flow are a
+        single branch per kind, and the per-instruction counters and unit
+        pools accumulate in locals that flush once per call.
         """
         program = self.program
         dcode = self._dcode
@@ -749,6 +376,11 @@ class InOrderSimulator:
         spec_budget = config.spec_instruction_budget
         is_main = state.tid == 0
         issued = 0
+        # Issued inside a recovery stub (a non-empty rfi stack: between a
+        # fired chk.c and its rfi).  Those instructions retire on the main
+        # thread but are adaptation overhead, tracked separately so the
+        # retired-instruction oracle can compare models net of fired
+        # triggers.
         n_stub = 0
         spec_base = thread.spec_issued
         ready = thread.reg_ready
@@ -764,6 +396,8 @@ class InOrderSimulator:
         res_br = res.br
 
         while issued < budget:
+            # Runaway-slice containment: a speculative context that has
+            # exhausted its instruction budget is killed on the spot.
             # thread.spec_issued == spec_base + issued at every loop top
             # (each issue increments both), so the budget check can stay
             # on locals.
@@ -809,10 +443,18 @@ class InOrderSimulator:
 
             kind = d[0]                           # D_KIND
 
-            # Chaining spawn waits for a free context (see legacy body).
+            # A chaining spawn in a speculative thread *waits* for a free
+            # context (the lightweight exception fires "when a free
+            # hardware context is available", Section 2.1) — this is what
+            # keeps a chain alive as a self-throttling pipeline.  The main
+            # thread never blocks: its chk.c simply does not fire.
             if kind == K_SPAWN and not is_main \
                     and self._free_slot() is None:
                 if thread.spawn_parked_pc == pc:
+                    # Second attempt with no context: give up — the spawn
+                    # request is ignored (Section 2.1) and the thread runs
+                    # on, which also rules out all-contexts-parked
+                    # deadlock.
                     thread.spawn_parked_pc = None
                 else:
                     stats.spawn_waits += 1
@@ -1053,6 +695,8 @@ class InOrderSimulator:
                 if was_stub:
                     n_stub += 1
                 if chk_fires:
+                    # Lightweight exception: pipeline flush, resume in
+                    # the stub.
                     stats.chk_fired += 1
                     self._on_chk_fired(d[13], now)
                     thread.stall_until = now + config.chk_flush_penalty
@@ -1136,7 +780,7 @@ class InOrderSimulator:
 
     def _main_category_fast(self, main: HWThread, issued_main: int,
                             now: int) -> str:
-        """Decoded-reads twin of :meth:`_main_category`."""
+        """Figure 10 category of the main thread's cycle at ``now``."""
         misses = self._main_misses
         while misses and misses[0] <= now:
             heapq.heappop(misses)
@@ -1162,15 +806,30 @@ class InOrderSimulator:
             return "Other"
         return "Other"  # lost fetch slots to other threads, etc.
 
-    def _run_fast(self, checkpoint_every: Optional[int] = None,
-                  on_checkpoint=None,
-                  until_cycle: Optional[int] = None) -> SimStats:
-        """Pre-decoded run loop: same cycle structure as
-        :meth:`_run_legacy` (one iteration per non-skipped cycle, so _rr
-        and all snapshot state evolve identically) with hoisted locals,
-        precomputed slot orders, a fused reap-and-liveness pass, inline
-        scoreboard checks over decoded read sets, and inline Figure 10
-        accounting on the issuing path.
+    def run(self, checkpoint_every: Optional[int] = None,
+            on_checkpoint=None,
+            until_cycle: Optional[int] = None) -> SimStats:
+        """Simulate until the main thread halts; returns the statistics.
+
+        Args:
+            checkpoint_every: with ``on_checkpoint``, invoke the callback
+                at the first cycle boundary at or past every multiple of
+                this many cycles (the callback must not mutate simulator
+                state — it typically calls :meth:`snapshot`).
+            on_checkpoint: ``callback(simulator)`` for periodic
+                checkpoints/heartbeats.  Checkpoint cadence never affects
+                the simulated statistics.
+            until_cycle: stop at the first cycle boundary at or past this
+                cycle instead of running to completion (the sampled mode's
+                detailed-window driver); a later :meth:`run` continues.
+
+        A simulator whose state was installed by :meth:`restore` continues
+        from the checkpointed cycle instead of starting over.
+
+        One iteration per non-skipped cycle, over the pre-decoded table:
+        hoisted locals, precomputed slot orders, a fused reap-and-liveness
+        pass, inline scoreboard checks over decoded read sets, and inline
+        Figure 10 accounting on the issuing path.
         """
         config = self.config
         if not self._started:

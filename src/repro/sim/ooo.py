@@ -49,10 +49,9 @@ from ..isa.decode import (
     K_ST,
     RES_MEM,
     decode_program,
-    resolve_fast_path,
     step_decoded,
 )
-from ..isa.interp import ThreadState, execute, spawn_thread
+from ..isa.interp import ThreadState, spawn_thread
 from ..isa.memory import Heap
 from ..isa.program import Program
 from .branch import GsharePredictor
@@ -98,8 +97,7 @@ class OOOSimulator:
     """Runs a finalised program on the out-of-order SMT machine model."""
 
     def __init__(self, program: Program, heap: Heap, config: MachineConfig,
-                 spawning: bool = True, max_cycles: int = 200_000_000,
-                 fast_path: Optional[bool] = None):
+                 spawning: bool = True, max_cycles: int = 200_000_000):
         if not program.finalized:
             program.finalize()
         self.program = program
@@ -107,9 +105,8 @@ class OOOSimulator:
         self.config = config
         self.spawning = spawning
         self.max_cycles = max_cycles
-        #: Pre-decoded issue table; also used by :meth:`fast_forward` on
-        #: the legacy path, so it is built unconditionally.
-        self.fast_path = resolve_fast_path(fast_path)
+        #: Pre-decoded issue table: the run loop and :meth:`fast_forward`
+        #: step it.
         self._dcode = decode_program(program)
         self.memory = MemorySystem(config)
         self.memory.prefetch_sources = dict(
@@ -222,77 +219,6 @@ class OOOSimulator:
         self._pops = 0
         self._started = True
 
-    # -- per-cycle resource pools ---------------------------------------------------
-
-    def _take_slot(self, used: Dict[int, int], cycle: int, cap: int) -> int:
-        """First cycle >= ``cycle`` with a free slot; takes it."""
-        while used.get(cycle, 0) >= cap:
-            cycle += 1
-        used[cycle] = used.get(cycle, 0) + 1
-        return cycle
-
-    # -- instruction timing -----------------------------------------------------------
-
-    def _time_instruction(self, thread: _OOOThread, instr, fetch: int,
-                          mem_addr: Optional[int], executed: bool,
-                          is_main: bool) -> Tuple[int, int]:
-        """Compute (start, completion) for one fetched instruction."""
-        config = self.config
-        ready = fetch + 1
-        for reg in instr.reads:
-            t = thread.reg_complete.get(reg, 0)
-            if t > ready:
-                ready = t
-        # RS: can't enter scheduling until an RS entry frees.
-        if len(thread.start_ring) == thread.start_ring.maxlen:
-            oldest = thread.start_ring[0]
-            if oldest > ready:
-                ready = oldest
-        start = self._take_slot(self._issue_used, ready, config.issue_width)
-        if instr.is_memory and executed and mem_addr is not None:
-            start = self._take_slot(self._port_used, start,
-                                    config.memory_ports)
-            if instr.op == "ld":
-                access = self.memory.access(mem_addr, start, instr.uid,
-                                            is_main)
-                completion = access.ready
-                thread.reg_level[instr.dest] = access.level
-            elif instr.op == "st":
-                self.memory.access(mem_addr, start, instr.uid, is_main,
-                                   is_store=True)
-                completion = start + 1
-            else:  # lfetch
-                self.memory.access(mem_addr, start, instr.uid, is_main,
-                                   is_prefetch=True)
-                completion = start + 1
-        else:
-            if instr.op == "lfetch" and (mem_addr is None or not executed):
-                self.memory.prefetches_dropped += 1
-            completion = start + (instr.fixed_latency() if executed else 1)
-        thread.start_ring.append(start)
-        if instr.dest is not None and executed:
-            thread.reg_complete[instr.dest] = completion
-            if instr.op != "ld":
-                thread.reg_level[instr.dest] = None
-        return start, completion
-
-    def _retire(self, thread: _OOOThread, completion: int) -> int:
-        """In-order retirement, bounded by retire bandwidth."""
-        retire = max(completion, thread.last_retire)
-        ring = thread.retire_ring
-        # Retire width == issue width: instruction i cannot retire in the
-        # same cycle as instruction i - width.
-        width = self.config.issue_width
-        if thread.retire_count >= width:
-            # ring holds up to ROB entries; the width-th most recent is a
-            # cheap lower bound for bandwidth-limited retirement.
-            if len(ring) >= width and ring[-width] >= retire:
-                retire = ring[-width] + 1
-        ring.append(retire)
-        thread.last_retire = retire
-        thread.retire_count += 1
-        return retire
-
     # -- main loop -----------------------------------------------------------------------
 
     def run(self, checkpoint_every: Optional[int] = None,
@@ -308,283 +234,10 @@ class OOOSimulator:
         the run (resumably) once the earliest pending fetch cycle reaches
         that mark — the sampled-simulation driver uses it to bound
         detailed windows.
-        """
-        if self.fast_path:
-            return self._run_fast(checkpoint_every, on_checkpoint,
-                                  until_cycle)
-        return self._run_legacy(checkpoint_every, on_checkpoint,
-                                until_cycle)
 
-    def _run_legacy(self, checkpoint_every: Optional[int] = None,
-                    on_checkpoint=None,
-                    until_cycle: Optional[int] = None) -> SimStats:
-        """Reference run loop over :class:`Instruction` objects."""
-        program = self.program
-        config = self.config
-        code = program.code
-        stats = self.stats
-        if not self._started:
-            self._begin()
-        main = self._main
-        # (next_fetch_cycle, tie, thread)
-        queue = self._queue
-        # Outstanding main-thread misses for CacheExec classification.
-        main_misses = self._main_misses
-        next_checkpoint = None
-        if on_checkpoint is not None and checkpoint_every:
-            next_checkpoint = self.cycle + checkpoint_every
-
-        while queue:
-            if until_cycle is not None and queue[0][0] >= until_cycle:
-                break
-            if next_checkpoint is not None and queue[0][0] >= next_checkpoint:
-                on_checkpoint(self)
-                while next_checkpoint <= queue[0][0]:
-                    next_checkpoint += checkpoint_every
-            fetch, _, thread = heapq.heappop(queue)
-            self._pops += 1
-            if self._pops % 50_000 == 0:
-                self._prune_pools(fetch)
-            # Profiling gate: one int compare per pop when off (see
-            # inorder.py).  Pops that bail out below go unsampled; the
-            # next real fetch group samples instead.
-            prof = None
-            if fetch >= self._prof_next:
-                prof = self._profiler
-                t_prof = prof.begin(fetch)
-            state = thread.state
-            if (state.tid != 0 and not state.done
-                    and config.spec_cycle_budget
-                    and fetch - thread.spawn_cycle
-                    >= config.spec_cycle_budget):
-                # Containment: the context outlived its cycle budget.
-                state.killed = True
-                stats.budget_kills += 1
-            if state.done:
-                self._live_threads -= 1
-                continue
-            if self._end_cycle is not None and fetch >= self._end_cycle:
-                self._live_threads -= 1
-                continue
-            if fetch >= self.max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {self.max_cycles} cycles")
-            is_main = state.tid == 0
-
-            # One fetch group: a bundle of up to 3 instructions.
-            fetch = self._take_slot(self._fetch_used, fetch,
-                                    config.bundles_per_cycle)
-            next_fetch = fetch + 1
-            if prof is not None:
-                t_prof = prof.lap("fetch", t_prof)
-            for _ in range(config.bundle_size):
-                instr = code[state.pc]
-                # ROB occupancy: wait for instruction (i - ROB) to retire.
-                ring = thread.retire_ring
-                if len(ring) == ring.maxlen and ring[0] > fetch:
-                    fetch = ring[0]
-                    next_fetch = fetch + 1
-
-                # Chaining spawns in speculative threads wait (bounded)
-                # for a free context rather than being dropped instantly
-                # (see inorder.py).
-                if (instr.op == "spawn" and state.tid != 0
-                        and self._live_threads >= config.hardware_contexts
-                        and thread.spawn_retries < 96):
-                    stats.spawn_waits += 1
-                    thread.spawn_retries += 1
-                    next_fetch = fetch + 16
-                    break
-
-                # Runaway-slice containment: instruction budget.
-                if state.tid != 0:
-                    limit = config.spec_instruction_budget
-                    if limit and thread.spec_issued >= limit:
-                        state.killed = True
-                        stats.budget_kills += 1
-                        break
-                    thread.spec_issued += 1
-
-                chk_fires = False
-                if instr.op == "chk.c":
-                    chk_fires = (self.spawning
-                                 and self._live_threads <
-                                 config.hardware_contexts)
-                pc_before = state.pc
-                # Inside a recovery stub (fired chk.c, rfi not yet
-                # executed): counted separately for the retired-instruction
-                # oracle, as in the in-order model.
-                in_stub = is_main and bool(state.rfi_stack)
-                if prof is not None:
-                    t_prof = prof.lap("schedule", t_prof)
-                result = execute(program, self.heap, state, instr, chk_fires)
-                if prof is not None:
-                    t_prof = prof.lap("interp", t_prof)
-                if is_main:
-                    stats.main_instructions += 1
-                    if in_stub:
-                        stats.main_stub_instructions += 1
-                else:
-                    stats.spec_instructions += 1
-
-                start, completion = self._time_instruction(
-                    thread, instr, fetch, result.mem_addr, result.executed,
-                    is_main)
-                retire = self._retire(thread, completion)
-                if prof is not None:
-                    t_prof = prof.lap("timing", t_prof)
-
-                # Figure 10 accounting (main thread, gap-based).
-                if is_main:
-                    prev = thread.retire_ring[-2] if len(
-                        thread.retire_ring) > 1 else 0
-                    gap = retire - prev
-                    if instr.op == "ld" and result.mem_addr is not None:
-                        level = thread.reg_level.get(instr.dest)
-                        if level is not None and level != L1:
-                            heapq.heappush(main_misses, completion)
-                    if gap > 0:
-                        while main_misses and main_misses[0] <= prev:
-                            heapq.heappop(main_misses)
-                        overlapped = bool(main_misses)
-                        stats.charge("CacheExec" if overlapped else "Exec")
-                        if gap > 1:
-                            cause = self._gap_cause(thread, instr)
-                            stats.charge(cause, gap - 1)
-
-                # Control-flow consequences for fetch.
-                op = instr.op
-                if op == "br.cond":
-                    penalty = self.predictor.predict_and_update(
-                        pc_before, state.tid, bool(result.taken))
-                    if penalty < 0:
-                        stats.mispredicts += 1
-                        # Resolved at execute; refill afterwards.
-                        next_fetch = completion + config.mispredict_penalty
-                        break
-                    if result.taken:
-                        next_fetch = fetch + 1 + penalty
-                        break
-                elif op in ("br", "br.call", "br.call.ind", "br.ret"):
-                    if state.halted:
-                        break
-                    break
-                elif op == "chk.c" and result.chk_taken:
-                    stats.chk_fired += 1
-                    # Spawning happens at retirement with an exception-like
-                    # flush (Section 4.4.1).
-                    next_fetch = retire + config.chk_flush_penalty
-                    break
-                elif op == "chk.c":
-                    stats.chk_ignored += 1
-                elif op == "spawn" and result.spawn_target is not None:
-                    thread.spawn_retries = 0
-                    if self._live_threads < config.hardware_contexts:
-                        self._next_tid += 1
-                        child_state = spawn_thread(state, self._next_tid,
-                                                   result.spawn_target)
-                        child = _OOOThread(
-                            child_state,
-                            retire + config.spawn_startup_latency,
-                            config.rob_entries, config.rs_entries)
-                        self._live_threads += 1
-                        stats.spawns += 1
-                        self._tie += 1
-                        heapq.heappush(queue,
-                                       (child.fetch_cycle, self._tie,
-                                        child))
-                    else:
-                        stats.spawn_failures += 1
-                elif op in ("kill", "halt"):
-                    break
-                if state.done:
-                    break
-
-            if prof is not None:
-                prof.lap("account", t_prof)
-                self._prof_next = prof.sample(fetch, stats,
-                                              1 if is_main else 0, False)
-            if state.done:
-                self._live_threads -= 1
-                if is_main:
-                    self._end_cycle = thread.last_retire
-                    stats.cycles = thread.last_retire
-                else:
-                    stats.threads_completed += 1
-                continue
-            self._tie += 1
-            heapq.heappush(queue, (max(next_fetch, fetch + 1), self._tie,
-                                   thread))
-
-        # A full run set stats.cycles when the main thread retired; an
-        # until_cycle window only tracks progress forward (a resumed
-        # sampled run must never let a stale cycle count linger).
-        if stats.cycles < main.last_retire:
-            stats.cycles = main.last_retire
-        stats.mispredicts = self.predictor.mispredicts
-        return stats
-
-    def _prune_pools(self, now: int) -> None:
-        """Drop per-cycle resource counters far in the past (memory bound)."""
-        horizon = now - 10_000
-        for pool in (self._issue_used, self._port_used, self._fetch_used):
-            if len(pool) > 200_000:
-                for cycle in [c for c in pool if c < horizon]:
-                    del pool[cycle]
-
-    def _gap_cause_fast(self, thread: _OOOThread, d) -> str:
-        """Decoded-tuple twin of :meth:`_gap_cause` (same attribution)."""
-        kind = d[0]
-        if kind == K_LD:
-            level = thread.reg_level.get(d[2])
-            if level is not None and level in STALL_CATEGORY:
-                return STALL_CATEGORY[level]
-            return "Exec"
-        worst_level, worst_t = None, -1
-        reg_complete = thread.reg_complete
-        reg_level = thread.reg_level
-        for reg in d[D_READS]:
-            t = reg_complete.get(reg, 0)
-            if t > worst_t:
-                worst_t = t
-                worst_level = reg_level.get(reg)
-        if worst_level is not None and worst_level in STALL_CATEGORY:
-            return STALL_CATEGORY[worst_level]
-        if K_BR <= kind <= K_RET:
-            return "Other"
-        return "Exec"
-
-    def _gap_cause(self, thread: _OOOThread, instr) -> str:
-        """Attribute a retire gap to a Figure 10 category."""
-        if instr.op == "ld":
-            level = thread.reg_level.get(instr.dest)
-            if level is not None and level in STALL_CATEGORY:
-                return STALL_CATEGORY[level]
-            return "Exec"
-        # Waiting on a source produced by a load?
-        worst_level, worst_t = None, -1
-        for reg in instr.reads:
-            t = thread.reg_complete.get(reg, 0)
-            if t > worst_t:
-                worst_t = t
-                worst_level = thread.reg_level.get(reg)
-        if worst_level is not None and worst_level in STALL_CATEGORY:
-            return STALL_CATEGORY[worst_level]
-        if instr.is_branch:
-            return "Other"
-        return "Exec"
-
-    # -- pre-decoded fast path -------------------------------------------------------
-
-    def _run_fast(self, checkpoint_every: Optional[int] = None,
-                  on_checkpoint=None,
-                  until_cycle: Optional[int] = None) -> SimStats:
-        """Fast run loop over the pre-decoded issue table.
-
-        Byte-identical to :meth:`_run_legacy`: same pop order, same
-        resource-pool probes, same Figure 10 accounting.  Wins come from
-        flat tuple access instead of attribute/dict lookups, inlined
-        timing/retire, and a no-sift pop when only one thread is live.
+        One fetch group per pop, over the pre-decoded table: flat tuple
+        access instead of attribute/dict lookups, inlined timing and
+        retirement, and a no-sift pop when only one thread is live.
         """
         program = self.program
         config = self.config
@@ -639,6 +292,9 @@ class OOOSimulator:
             self._pops += 1
             if self._pops % 50_000 == 0:
                 self._prune_pools(fetch)
+            # Profiling gate: one int compare per pop when off (see
+            # inorder.py).  Pops that bail out below go unsampled; the
+            # next real fetch group samples instead.
             prof = None
             if fetch >= self._prof_next:
                 prof = self._profiler
@@ -648,6 +304,7 @@ class OOOSimulator:
             if (tid != 0 and not state.done
                     and spec_cycle_budget
                     and fetch - thread.spawn_cycle >= spec_cycle_budget):
+                # Containment: the context outlived its cycle budget.
                 state.killed = True
                 stats.budget_kills += 1
             if state.done:
@@ -661,6 +318,8 @@ class OOOSimulator:
                     f"simulation exceeded {max_cycles} cycles")
             is_main = tid == 0
 
+            # One fetch group: a bundle of up to 3 instructions, in the
+            # first cycle with a free fetch slot.
             while fetch_used.get(fetch, 0) >= bundles_per_cycle:
                 fetch += 1
             fetch_used[fetch] = fetch_used.get(fetch, 0) + 1
@@ -674,11 +333,15 @@ class OOOSimulator:
             for _ in range(bundle_size):
                 d = dcode[state.pc]
                 kind = d[0]
+                # ROB occupancy: wait for instruction (i - ROB) to retire.
                 if len(retire_ring) == retire_ring.maxlen \
                         and retire_ring[0] > fetch:
                     fetch = retire_ring[0]
                     next_fetch = fetch + 1
 
+                # Chaining spawns in speculative threads wait (bounded)
+                # for a free context rather than being dropped instantly
+                # (see inorder.py).
                 if (kind == K_SPAWN and tid != 0
                         and self._live_threads >= hardware_contexts
                         and thread.spawn_retries < 96):
@@ -687,6 +350,7 @@ class OOOSimulator:
                     next_fetch = fetch + 16
                     break
 
+                # Runaway-slice containment: instruction budget.
                 if tid != 0:
                     if spec_budget and thread.spec_issued >= spec_budget:
                         state.killed = True
@@ -699,6 +363,9 @@ class OOOSimulator:
                     chk_fires = (spawning
                                  and self._live_threads < hardware_contexts)
                 pc_before = state.pc
+                # Inside a recovery stub (fired chk.c, rfi not yet
+                # executed): counted separately for the retired-instruction
+                # oracle, as in the in-order model.
                 in_stub = is_main and bool(state.rfi_stack)
                 if prof is not None:
                     t_prof = prof.lap("schedule", t_prof)
@@ -714,12 +381,15 @@ class OOOSimulator:
                 else:
                     stats.spec_instructions += 1
 
-                # Timing (inlined _time_instruction).
+                # Timing: ready when the producers complete, then the
+                # first cycle with a free issue slot (and, for a memory
+                # op, a free port).
                 ready = fetch + 1
                 for reg in d[8]:
                     t = reg_complete.get(reg, 0)
                     if t > ready:
                         ready = t
+                # RS: can't enter scheduling until an RS entry frees.
                 if len(start_ring) == start_ring.maxlen:
                     oldest = start_ring[0]
                     if oldest > ready:
@@ -757,7 +427,9 @@ class OOOSimulator:
                     if kind != K_LD:
                         reg_level[dest] = None
 
-                # Retirement (inlined _retire).
+                # In-order retirement.  Retire width == issue width:
+                # instruction i cannot retire in the same cycle as
+                # instruction i - width.
                 retire = completion if completion > thread.last_retire \
                     else thread.last_retire
                 if thread.retire_count >= issue_width \
@@ -793,6 +465,7 @@ class OOOSimulator:
                         pc_before, tid, bool(result[1]))
                     if penalty < 0:
                         stats.mispredicts += 1
+                        # Resolved at execute; refill afterwards.
                         next_fetch = completion + mispredict_penalty
                         break
                     if result[1]:
@@ -803,6 +476,8 @@ class OOOSimulator:
                 elif kind == K_CHK:
                     if result[4]:
                         stats.chk_fired += 1
+                        # Spawning happens at retirement with an
+                        # exception-like flush (Section 4.4.1).
                         next_fetch = retire + chk_flush_penalty
                         break
                     stats.chk_ignored += 1
@@ -855,6 +530,36 @@ class OOOSimulator:
             stats.cycles = main.last_retire
         stats.mispredicts = predictor.mispredicts
         return stats
+
+    def _prune_pools(self, now: int) -> None:
+        """Drop per-cycle resource counters far in the past (memory bound)."""
+        horizon = now - 10_000
+        for pool in (self._issue_used, self._port_used, self._fetch_used):
+            if len(pool) > 200_000:
+                for cycle in [c for c in pool if c < horizon]:
+                    del pool[cycle]
+
+    def _gap_cause_fast(self, thread: _OOOThread, d) -> str:
+        """Attribute a retire gap to a Figure 10 category."""
+        kind = d[0]
+        if kind == K_LD:
+            level = thread.reg_level.get(d[2])
+            if level is not None and level in STALL_CATEGORY:
+                return STALL_CATEGORY[level]
+            return "Exec"
+        worst_level, worst_t = None, -1
+        reg_complete = thread.reg_complete
+        reg_level = thread.reg_level
+        for reg in d[D_READS]:
+            t = reg_complete.get(reg, 0)
+            if t > worst_t:
+                worst_t = t
+                worst_level = reg_level.get(reg)
+        if worst_level is not None and worst_level in STALL_CATEGORY:
+            return STALL_CATEGORY[worst_level]
+        if K_BR <= kind <= K_RET:
+            return "Other"
+        return "Exec"
 
     # -- quiescent fast-forward ------------------------------------------------------
 

@@ -4,8 +4,9 @@
 execution-count pass) and :class:`~repro.codegen.verify.ShadowInterpreter`
 (the differential verify) walk the pre-decoded table with
 ``step_decoded``.  The two reference classes below keep the loops they
-replaced, which step ``Instruction`` objects through ``interp.execute``;
-this module checks that both interpreters agree with them:
+replaced, which step ``Instruction`` objects through ``execute`` (from
+``tests/reference_sim.py``); this module checks that both interpreters
+agree with them:
 
 * on the fuzz corpus of ``tests/test_sim_fastpath.py``, original and
   adapted binaries: final registers, predicates, heap words,
@@ -19,6 +20,7 @@ this module checks that both interpreters agree with them:
 from __future__ import annotations
 
 import pytest
+from reference_sim import execute
 
 from repro import SSPPostPassTool, collect_profile
 from repro.check.fuzz import FuzzWorkload
@@ -30,7 +32,6 @@ from repro.isa import (
     Heap,
     Program,
     ThreadState,
-    execute,
     spawn_thread,
 )
 from repro.isa.instructions import Instruction

@@ -9,12 +9,18 @@ from repro.isa import (
     Heap,
     Program,
     ThreadState,
-    execute,
     spawn_thread,
 )
+from repro.isa.decode import decode_program, step_decoded
 from repro.isa.instructions import Instruction
 
 from helpers import linked_list_heap, list_sum_program
+
+
+def step(prog, heap, state, chk_fires=False):
+    """Step ``state``'s next instruction as every execution engine does."""
+    d = decode_program(prog)[state.pc]
+    return step_decoded(prog, heap, state, d, chk_fires)
 
 
 def run_main(build, heap=None, max_steps=1_000_000):
@@ -243,7 +249,7 @@ class TestMemorySemantics:
         state = ThreadState(tid=1, pc=0, speculative=True)
         state.regs["r40"] = 3
         while not state.done:
-            execute(prog, heap, state, prog.code[state.pc])
+            step(prog, heap, state)
         assert state.regs["r60"] == 0
 
     def test_speculative_store_forbidden(self):
@@ -254,9 +260,9 @@ class TestMemorySemantics:
         prog.finalize()
         state = ThreadState(tid=1, pc=0, speculative=True)
         heap = Heap(1 << 14)
-        execute(prog, heap, state, prog.code[0])  # the mov
+        step(prog, heap, state)  # the mov
         with pytest.raises(ExecutionError, match="store"):
-            execute(prog, heap, state, prog.code[1])
+            step(prog, heap, state)
 
     def test_invalid_prefetch_dropped_silently(self):
         def build(fb, heap):
@@ -292,8 +298,8 @@ class TestSSPOpcodes:
         heap = Heap(1 << 13)
         state = ThreadState(tid=0, pc=0)
         while not state.done:
-            instr = prog.code[state.pc]
-            execute(prog, heap, state, instr, chk_fires=(instr.op == "chk.c"))
+            step(prog, heap, state,
+                 chk_fires=prog.code[state.pc].op == "chk.c")
         assert state.regs["r61"] == 1  # stub ran
         assert state.regs["r60"] == 7  # resumed after the chk
 
@@ -304,7 +310,7 @@ class TestSSPOpcodes:
         prog.finalize()
         state = ThreadState(tid=0, pc=0)
         with pytest.raises(ExecutionError, match="rfi"):
-            execute(prog, Heap(1 << 13), state, prog.code[0])
+            step(prog, Heap(1 << 13), state)
 
     def test_live_in_buffer_snapshot(self):
         parent = ThreadState(tid=0, pc=0)
@@ -323,7 +329,7 @@ class TestSSPOpcodes:
         heap = Heap(1 << 13)
         state = ThreadState(tid=0, pc=0)
         while not state.done:
-            execute(prog, heap, state, prog.code[state.pc])
+            step(prog, heap, state)
         assert state.lib_out[2] == 77
 
 

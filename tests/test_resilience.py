@@ -189,6 +189,18 @@ mode = sys.argv[1]
 task = WorkerTask(spec=spec)
 if mode in ("checkpoint", "resume"):
     task.checkpoint_every = 2000
+if mode == "checkpoint":
+    # Park once the first checkpoint is on disk: the whole tiny run is
+    # shorter than the killer's polling can rely on, so without the park
+    # the run could finish and retire its checkpoints unobserved.
+    import time
+    from repro.resilience.checkpoint import CheckpointStore
+    _save = CheckpointStore.save
+    def _save_then_park(self, *args, **kwargs):
+        path = _save(self, *args, **kwargs)
+        time.sleep(60)
+        return path
+    CheckpointStore.save = _save_then_park
 if mode == "resume":
     task.resume = True
 payload = execute_task(task)

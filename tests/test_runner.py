@@ -426,6 +426,19 @@ class TestExecuteSpec:
         fast = execute_spec(RunSpec.create("mcf", scale="tiny"))
         assert slow["stats"]["cycles"] > fast["stats"]["cycles"]
 
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_unmodelled_threads_per_cycle_fails_cleanly(self, value):
+        # The issue stage selects at most two threads a cycle; a payload
+        # asking for another count is refused before anything runs.
+        spec = RunSpec.create(
+            "mcf", scale="tiny",
+            config_overrides={"max_threads_per_cycle": value})
+        with pytest.raises(ValueError, match="must be 1 or 2"):
+            execute_spec(spec)
+        result = Runner(cache=None, service=None).run_one(spec)
+        assert not result.ok
+        assert result.error.startswith("ValueError: max_threads_per_cycle")
+
     def test_cached_entry_round_trips_stats(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         spec = RunSpec.create("mcf", scale="tiny")
