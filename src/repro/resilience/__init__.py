@@ -8,8 +8,8 @@ package keeps them alive through the failures long runs actually hit:
   ``snapshot()``/``restore()`` state, so a killed run resumes from its
   last good checkpoint instead of restarting (and lands on byte-identical
   statistics).
-* :mod:`~repro.resilience.heartbeat` — file-based worker heartbeats the
-  supervisor watches to tell "slow" from "hung".
+* :mod:`~repro.resilience.heartbeat` — progress beats, which reach the
+  supervisor over each worker's pipe, and the service's lease files.
 * :mod:`~repro.resilience.supervisor` — the watchdog: kills hung workers,
   retries with exponential backoff + deterministic jitter, trips a
   per-spec circuit breaker to serial execution, and finally skips with a
@@ -20,7 +20,7 @@ package keeps them alive through the failures long runs actually hit:
 """
 
 from .checkpoint import CHECKPOINT_FORMAT, CheckpointStore
-from .heartbeat import Heartbeat, heartbeat_age, read_heartbeat
+from .heartbeat import Heartbeat, beat, heartbeat_age
 from .ladder import (
     LADDER,
     STEP_BASIC,
@@ -36,7 +36,7 @@ from .supervisor import ResilienceConfig, SupervisedOutcome, Supervisor
 
 __all__ = [
     "CHECKPOINT_FORMAT", "CheckpointStore",
-    "Heartbeat", "heartbeat_age", "read_heartbeat",
+    "Heartbeat", "beat", "heartbeat_age",
     "LADDER", "STEP_BASIC", "STEP_FULL", "STEP_TOP1", "STEP_UNADAPTED",
     "degrade_spec", "ladder_applies", "ladder_steps", "next_step",
     "ResilienceConfig", "SupervisedOutcome", "Supervisor",

@@ -1,12 +1,11 @@
-"""File-based worker heartbeats for the supervisor's watchdog.
+"""Progress beats, and the heartbeat files service leases use.
 
-A supervised worker owns one heartbeat file and rewrites it (atomic
-temp + rename, so the watchdog never reads a torn JSON) at checkpoint
-boundaries and other progress points.  The watchdog judges liveness by
-the file's **mtime** — the payload (cycle, stage, pid) is diagnostic
-garnish for "worker killed after N cycles at stage X" messages, not the
-staleness signal itself, so a worker that wedges *between* writes is
-still detected.
+:func:`beat` reports a task's progress to the sink its process installed
+with :func:`beat_sink` (a supervised worker's pipe, a service lease), and
+does nothing without one.  :class:`Heartbeat` files, rewritten atomically
+(temp + rename), serve only leases that other hosts read: liveness is the
+file's **mtime** (:func:`heartbeat_age`), so a worker that wedges between
+writes is still detected; the payload is diagnostic garnish.
 """
 
 from __future__ import annotations
@@ -15,16 +14,42 @@ import json
 import os
 import socket
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Iterator, Optional
 
 #: Cached once: the host tag lets a reader decide whether the writer's
 #: pid is probeable (same host) or opaque (over a shared filesystem).
 _HOSTNAME = socket.gethostname()
 
+_sink: Optional[Callable[..., None]] = None
+
+
+@contextmanager
+def beat_sink(sink: Callable[..., None]) -> Iterator[None]:
+    """Route this process's beats to ``sink(cycle=, stage=)``."""
+    global _sink
+    previous, _sink = _sink, sink
+    try:
+        yield
+    finally:
+        _sink = previous
+
+
+def beating() -> bool:
+    """Whether a sink is installed, i.e. whether beats go anywhere."""
+    return _sink is not None
+
+
+def beat(*, cycle: Optional[int] = None,
+         stage: Optional[str] = None) -> None:
+    """Report progress to the installed sink, if any."""
+    if _sink is not None:
+        _sink(cycle=cycle, stage=stage)
+
 
 class Heartbeat:
-    """Writer side: owned by the worker process."""
+    """Writer side of a heartbeat file: owned by the leasing worker."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -44,20 +69,6 @@ class Heartbeat:
         except OSError:
             # A failed beat must never kill the run it is reporting on.
             pass
-
-    def clear(self) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def read_heartbeat(path: Path) -> Optional[Dict[str, object]]:
-    """Last-written heartbeat payload, or None if absent/unreadable."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
 
 
 def heartbeat_age(path: Path, now: Optional[float] = None

@@ -9,11 +9,11 @@ It owns a batch of specs and drives each one to a terminal
   pipe (a pool cannot kill one hung member); a worker is replaced only
   after a watchdog kill, a crash, or a resource-budget failure, and every
   worker is joined before :meth:`Supervisor.run` returns;
-* the watchdog kills workers whose
-  :class:`~repro.resilience.heartbeat.Heartbeat` goes stale past
-  ``heartbeat_timeout`` (and, as a hard backstop, workers that outlive
-  the wall-clock deadline the worker itself was supposed to enforce),
-  both timed from the start of the current task;
+* that pipe is also the only liveness channel: the watchdog kills a
+  worker whose task sends no :func:`~repro.resilience.heartbeat.beat`
+  for ``heartbeat_timeout`` (timed from receipt, or from the hand-off)
+  and, as a hard backstop, one that outlives the wall-clock deadline
+  the worker itself was supposed to enforce;
 * failed attempts retry after exponential backoff with **deterministic
   jitter** (seeded from the spec hash and attempt number — chaos runs
   reproduce);
@@ -36,17 +36,15 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..guard import faultinject
 from ..guard.errors import CheckpointError, ResourceBudgetError
 from ..obs.tracer import NULL_TRACER
-from .heartbeat import heartbeat_age
+from .heartbeat import beat_sink
 from .ladder import STEP_FULL, degrade_spec, ladder_steps
 
 #: Failure kinds that mean "resource pressure" — descend the ladder
@@ -138,14 +136,22 @@ class _Slot:
         self.proc = proc
         self.conn = conn
         self.job: Optional[_Job] = None
-        self.heartbeat_path: Optional[Path] = None
-        self.started_wall = 0.0
+        self.started = self.last_heard = 0.0     # monotonic seconds
 
-    def assign(self, job: _Job, task: Any, heartbeat_path: Path) -> None:
+    def assign(self, job: _Job, task: Any) -> None:
         self.job = job
-        self.heartbeat_path = heartbeat_path
-        self.started_wall = time.time()
+        self.started = self.last_heard = time.monotonic()
         self.conn.send(task)
+
+    def receive(self) -> Optional[tuple]:
+        """Drain the pipe; returns the result message or None.  Beats are
+        stamped on *receipt*, so ones queued during a serial attempt count."""
+        while self.conn.poll():
+            msg = self.conn.recv()
+            if msg[0] != "beat":
+                return msg
+            self.last_heard = time.monotonic()
+        return None
 
     def stop(self) -> None:
         """Ask the worker to exit; kill it if it will not."""
@@ -186,26 +192,28 @@ def _die_with_supervisor() -> None:
 
 def _worker_loop(task_fn, conn) -> None:
     """Child-process loop: run each task received, reply once per task,
-    exit on ``None`` or a closed pipe."""
+    exit on ``None`` or a closed pipe; beats go up the same pipe.  (A
+    beat fails only once the supervisor, and so the task, is gone.)"""
     _die_with_supervisor()
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            break
-        if task is None:
-            break
-        try:
-            msg = ("ok", task_fn(task))
-        except Exception as exc:  # noqa: BLE001 - report, don't judge
-            # (An interrupt or exit ends the worker; the supervisor sees
-            # the closed pipe as a crash.)
-            msg = ("error", f"{type(exc).__name__}: {exc}",
-                   classify_failure(exc))
-        try:
-            conn.send(msg)
-        except Exception:
-            break
+    with beat_sink(lambda cycle, stage: conn.send(("beat", cycle, stage))):
+        while True:
+            try:
+                task = conn.recv()
+            except (EOFError, OSError):
+                break
+            if task is None:
+                break
+            try:
+                msg = ("ok", task_fn(task))
+            except Exception as exc:  # noqa: BLE001 - report, don't judge
+                # (An interrupt or exit ends the worker; the supervisor
+                # sees the closed pipe as a crash.)
+                msg = ("error", f"{type(exc).__name__}: {exc}",
+                       classify_failure(exc))
+            try:
+                conn.send(msg)
+            except Exception:
+                break
     conn.close()
 
 
@@ -224,8 +232,7 @@ class Supervisor:
             task_fn: unit of work (``execute_task``), run in the forked
                 workers — and in-process once a breaker trips.
             make_task: builds the task object for one attempt; called as
-                ``make_task(spec=, attempt=, heartbeat_path=, resume=,
-                hang_seconds=)``.
+                ``make_task(spec=, attempt=, resume=, hang_seconds=)``.
             jobs: worker slots, each one reusable forked process (1
                 still supervises — one killable process at a time).
             telemetry: a :class:`~repro.runner.telemetry.RunnerTelemetry`
@@ -250,11 +257,9 @@ class Supervisor:
         queue = deque(jobs)
         slots: List[_Slot] = []
         try:
-            with tempfile.TemporaryDirectory(prefix="repro-hb-") as hb_dir:
-                hb_root = Path(hb_dir)
-                while queue or any(slot.job for slot in slots):
-                    self._fill_slots(queue, slots, hb_root)
-                    self._poll(queue, slots)
+            while queue or any(slot.job for slot in slots):
+                self._fill_slots(queue, slots)
+                self._poll(queue, slots)
         finally:
             # Join every worker before returning: none outlives the
             # batch, and RUSAGE_CHILDREN accounts for all of their CPU.
@@ -264,7 +269,7 @@ class Supervisor:
 
     # -- scheduling ------------------------------------------------------------------
 
-    def _fill_slots(self, queue, slots: List[_Slot], hb_root: Path) -> None:
+    def _fill_slots(self, queue, slots: List[_Slot]) -> None:
         now = time.monotonic()
         deferred: List[_Job] = []
         while queue:
@@ -274,7 +279,7 @@ class Supervisor:
                 continue
             if job.mode == "serial":
                 # Breaker is open: run in-process, one at a time.
-                self._run_serial_attempt(job, hb_root, queue)
+                self._run_serial_attempt(job, queue)
                 now = time.monotonic()
                 continue
             try:
@@ -288,7 +293,7 @@ class Supervisor:
             if slot is None:
                 deferred.append(job)
                 break
-            self._launch(job, slot, hb_root, slots, queue)
+            self._launch(job, slot, slots, queue)
         queue.extend(deferred)
 
     def _idle_slot(self, slots: List[_Slot]) -> Optional[_Slot]:
@@ -311,18 +316,17 @@ class Supervisor:
         slots.append(slot)
         return slot
 
-    def _launch(self, job: _Job, slot: _Slot, hb_root: Path,
-                slots: List[_Slot], queue) -> None:
+    def _launch(self, job: _Job, slot: _Slot, slots: List[_Slot],
+                queue) -> None:
         job.attempts += 1
-        hb_path = hb_root / f"{job.spec.content_hash()[:16]}.hb"
         task = self.make_task(
             spec=job.executed_spec, attempt=job.attempts,
-            heartbeat_path=str(hb_path), resume=self._resume_for(job),
+            resume=self._resume_for(job),
             hang_seconds=max(4 * self.config.heartbeat_timeout, 1.0))
         if self.telemetry is not None:
             self.telemetry.record_launch(job.executed_spec.label())
         try:
-            slot.assign(job, task, hb_path)
+            slot.assign(job, task)
         except Exception as exc:  # noqa: BLE001 - routed by policy
             # A dead idle worker or an unpicklable task: replace the
             # worker and let the policy retry (serial needs no pipe).
@@ -351,22 +355,20 @@ class Supervisor:
             # Everything runnable is backing off.
             time.sleep(self.config.poll_interval)
             return
-        ready = multiprocessing.connection.wait(
+        multiprocessing.connection.wait(
             [slot.conn for slot in busy], timeout=self.config.poll_interval)
         for slot in busy:
             job = slot.job
-            if slot.conn in ready:
-                try:
-                    msg = slot.conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-                if msg is None:
-                    self._retire(slot, slots)
-                    self._on_failure(
-                        job, "crash",
-                        f"worker exited (code {slot.proc.exitcode}) "
-                        f"without reporting a result", queue)
-                    continue
+            try:
+                msg = slot.receive()
+            except (EOFError, OSError):
+                self._retire(slot, slots)
+                self._on_failure(
+                    job, "crash",
+                    f"worker exited (code {slot.proc.exitcode}) "
+                    f"without reporting a result", queue)
+                continue
+            if msg is not None:
                 slot.job = None
                 if msg[0] == "ok":
                     self._finish_ok(job, msg[1])
@@ -395,10 +397,9 @@ class Supervisor:
         Both clocks start at the current task's hand-off, so a reused
         worker is never charged for its earlier tasks."""
         cfg = self.config
-        now_wall = time.time()
-        elapsed = now_wall - slot.started_wall
-        age = heartbeat_age(slot.heartbeat_path, now=now_wall)
-        silence = elapsed if age is None else min(age, elapsed)
+        now = time.monotonic()
+        elapsed = now - slot.started
+        silence = now - slot.last_heard
         if silence > cfg.heartbeat_timeout:
             return ("hang", f"no heartbeat for {silence:.1f}s "
                             f"(deadline {cfg.heartbeat_timeout}s)")
@@ -411,17 +412,14 @@ class Supervisor:
 
     # -- serial attempts -------------------------------------------------------------
 
-    def _run_serial_attempt(self, job: _Job, hb_root: Path,
-                            queue) -> None:
+    def _run_serial_attempt(self, job: _Job, queue) -> None:
         job.attempts += 1
-        hb_path = hb_root / f"{job.spec.content_hash()[:16]}.hb"
         # hang_seconds=0: an in-process worker.hang firing raises
         # immediately — there is no watchdog to exercise and a real
         # sleep would block the supervisor itself.
         task = self.make_task(
             spec=job.executed_spec, attempt=job.attempts,
-            heartbeat_path=str(hb_path), resume=self._resume_for(job),
-            hang_seconds=0.0)
+            resume=self._resume_for(job), hang_seconds=0.0)
         if self.telemetry is not None:
             self.telemetry.record_launch(job.executed_spec.label())
         try:

@@ -13,7 +13,7 @@ path:
    in-process, one attempt, and a failure becomes a structured error;
 3. **supervised** — everything else runs under the
    :class:`~repro.resilience.supervisor.Supervisor`: ``jobs`` reusable
-   forked workers with heartbeat watchdog, backoff, circuit breaker,
+   forked workers with a pipe-fed watchdog, backoff, circuit breaker,
    degradation ladder and skip (a plain ``jobs>1`` runner uses the
    default ``ResilienceConfig()``).
 
@@ -276,10 +276,8 @@ class Runner:
 
         cfg = self.resilience or ResilienceConfig()
 
-        def make_task(spec, attempt, heartbeat_path, resume,
-                      hang_seconds):
+        def make_task(spec, attempt, resume, hang_seconds):
             return WorkerTask(spec=spec, attempt=attempt,
-                              heartbeat_path=heartbeat_path,
                               checkpoint_every=cfg.checkpoint_every,
                               resume=resume, deadline=cfg.deadline,
                               rss_budget_mb=cfg.rss_budget_mb,

@@ -6,10 +6,12 @@ alone, so the same call runs inline, in a forked supervisor worker, or
 in a service worker on another host.
 
 :func:`execute_task` is the supervised flavour: a :class:`WorkerTask`
-adds the resilience contract — heartbeats for the watchdog, periodic
-checkpoints, resume-from-checkpoint, and wall-clock/RSS budgets enforced
-at checkpoint boundaries.  ``execute_spec`` is ``execute_task`` with
+adds the resilience contract — periodic checkpoints,
+resume-from-checkpoint, and wall-clock/RSS budgets enforced at
+checkpoint boundaries.  ``execute_spec`` is ``execute_task`` with
 everything switched off, so both paths share one execution core.
+Both report progress with :func:`repro.resilience.heartbeat.beat` to
+the process's sink, if any: a supervised worker's pipe, a service lease.
 
 Expensive intermediate artifacts (profile, tool adaptation, hand binary)
 are memoised per process and per (workload, scale, tool options), so the
@@ -32,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..guard import faultinject
@@ -43,7 +44,7 @@ from ..obs.tracer import NULL_TRACER
 from ..profiling.collect import collect_profile
 from ..profiling.profile import ProgramProfile
 from ..resilience.checkpoint import CheckpointStore
-from ..resilience.heartbeat import Heartbeat
+from ..resilience import heartbeat
 from ..sim.config import MachineConfig
 from ..sim.machine import make_config, make_simulator
 from ..tool.postpass import SSPPostPassTool, ToolOptions, ToolResult
@@ -230,8 +231,6 @@ class WorkerTask:
 
     spec: RunSpec
     attempt: int = 1
-    #: Heartbeat file this attempt keeps fresh (None = no heartbeats).
-    heartbeat_path: Optional[str] = None
     #: Write a checkpoint every N simulated cycles (None = never).
     checkpoint_every: Optional[int] = None
     #: Root directory for checkpoints (None = the default
@@ -255,8 +254,8 @@ class WorkerTask:
     sync_faults: bool = False
 
 
-#: Cycle cadence for heartbeats/budget checks when the task wants them
-#: but checkpointing is off.
+#: Cycle cadence for beats/budget checks when something wants them but
+#: checkpointing is off.
 _PROGRESS_CADENCE = 50_000
 
 #: Sites whose fired-counts follow the attempt number across the fork
@@ -285,11 +284,7 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
     if task.sync_faults:
         for site in _WORKER_SITES:
             faultinject.sync_fired(site, task.attempt - 1)
-    heartbeat = (Heartbeat(Path(task.heartbeat_path))
-                 if task.heartbeat_path else None)
-    if heartbeat is not None:
-        heartbeat.beat(stage="start")
-    # Chaos sites: a worker that stops heartbeating (watchdog path when
+    # Chaos sites: a worker that stops beating (watchdog path when
     # supervised, an immediate structured failure inline) and one that
     # dies of memory exhaustion (ladder path).
     if faultinject.fires("worker.hang"):
@@ -330,13 +325,12 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
                 resilience["resumed_from_cycle"] = header.get("cycle", 0)
 
     cadence = task.checkpoint_every
-    if cadence is None and (heartbeat is not None or task.deadline
+    if cadence is None and (heartbeat.beating() or task.deadline
                             or task.rss_budget_mb):
         cadence = _PROGRESS_CADENCE
 
     def on_checkpoint(running_sim) -> None:
-        if heartbeat is not None:
-            heartbeat.beat(cycle=running_sim.cycle, stage="simulate")
+        heartbeat.beat(cycle=running_sim.cycle, stage="simulate")
         if task.deadline is not None:
             elapsed = time.perf_counter() - started
             if elapsed > task.deadline:
@@ -371,8 +365,6 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
     if store is not None:
         # The run completed; its checkpoints have served their purpose.
         store.discard(key)
-    if heartbeat is not None:
-        heartbeat.beat(cycle=stats.cycles, stage="done")
 
     payload: Dict[str, Any] = {
         "stats": stats.to_dict(),

@@ -9,9 +9,9 @@ loop per job is:
    some other worker (or an earlier batch) already paid for this
    simulation, so the job completes as a **dedupe** without executing;
 3. otherwise execute it — the default unit of work is
-   :func:`repro.runner.worker.execute_task` with the *lease file as the
-   heartbeat path*, so the same machinery that keeps the resilience
-   watchdog fed keeps the lease visible as live — and write the result
+   :func:`repro.runner.worker.execute_task` with the *lease as its beat
+   sink*, so the progress beats that feed a supervised worker's watchdog
+   keep the lease file visible as live here — and write the result
    through the backend before retiring the job.
 
 With a :class:`~repro.resilience.supervisor.ResilienceConfig` the
@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..guard import faultinject
+from ..resilience.heartbeat import beat_sink
 from ..resilience.ladder import STEP_FULL, degrade_spec, ladder_steps
 from ..resilience.supervisor import (
     _BUDGET_KINDS,
@@ -78,10 +79,10 @@ class ServiceWorker:
             queue: the shared job queue.
             backend: the shared result store (the dedupe authority).
             task_fn: spec -> payload unit of work.  The default
-                ``execute_spec`` is upgraded to a heartbeating
-                ``execute_task`` automatically; a custom ``task_fn``
-                (tests, alternative executors) is called as
-                ``task_fn(spec)`` after one lease beat.
+                ``execute_spec`` is upgraded to ``execute_task``; a
+                custom ``task_fn`` (tests, alternative executors) is
+                called as ``task_fn(spec)``.  Either way the lease is
+                beaten once first and is the beat sink while it runs.
             telemetry: optional
                 :class:`~repro.runner.telemetry.RunnerTelemetry`
                 receiving launch/complete/failure events for jobs this
@@ -150,7 +151,10 @@ class ServiceWorker:
         if self.telemetry is not None:
             self.telemetry.record_launch(spec.label())
         try:
-            payload, executed_spec, step = self._execute(spec, lease)
+            # The task's periodic beats are what keeps the lease from
+            # being stolen mid-simulation.
+            with beat_sink(lease.beat):
+                payload, executed_spec, step = self._execute(spec, lease)
         except Exception as exc:  # noqa: BLE001 - routed to the queue
             message = f"{type(exc).__name__}: {exc}"
             fault_site = (exc.site if isinstance(
@@ -215,17 +219,13 @@ class ServiceWorker:
     def _execute(self, spec: RunSpec,
                  lease: Lease) -> Tuple[Dict, RunSpec, str]:
         """One supervised execution: (payload, executed spec, rung)."""
+        lease.beat(stage="execute")
         if self.task_fn is not execute_spec:
-            lease.beat(stage="execute")
             return self.task_fn(spec), spec, STEP_FULL
         cfg = self.resilience
-        # The lease file doubles as the heartbeat file: the worker's
-        # periodic beats (every checkpoint / progress cadence) are
-        # exactly what keeps the lease from being stolen mid-simulation.
         if cfg is None:
-            payload = execute_task(WorkerTask(
-                spec=spec, attempt=lease.attempt,
-                heartbeat_path=str(lease.path)))
+            payload = execute_task(WorkerTask(spec=spec,
+                                              attempt=lease.attempt))
             return payload, spec, STEP_FULL
         checkpointing = bool(cfg.checkpoint_every)
         # A stolen or retried lease means a previous owner may have left
@@ -239,7 +239,6 @@ class ServiceWorker:
             try:
                 payload = execute_task(WorkerTask(
                     spec=executed_spec, attempt=lease.attempt,
-                    heartbeat_path=str(lease.path),
                     checkpoint_every=cfg.checkpoint_every,
                     checkpoint_root=(str(self.checkpoint_root)
                                      if checkpointing else None),

@@ -16,6 +16,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from repro.resilience import (
     STEP_UNADAPTED,
     CheckpointStore,
     ResilienceConfig,
+    beat,
     degrade_spec,
     ladder_applies,
     ladder_steps,
@@ -539,6 +541,77 @@ def test_reused_worker_silence_is_timed_per_task():
     assert all(result.ok and result.attempts == 1 for result in results)
     assert len({result.metrics["pid"] for result in results}) == 1
     assert runner.telemetry.watchdog_kills == 0
+
+
+def _beat_or_fall_silent(spec):
+    # 3 s of work, ~3x the 1 s timeout: the "beat" twin reports progress
+    # through the sink every 0.2 s, the other twin never does.
+    for step in range(15):
+        time.sleep(0.2)
+        if spec.workload == "beat":
+            beat(cycle=step, stage="test")
+    return _pid_task(spec)
+
+
+def test_beats_alone_keep_a_worker_alive():
+    config = ResilienceConfig(heartbeat_timeout=1.0, poll_interval=0.02,
+                              max_attempts=1)
+    runner = Runner(jobs=2, cache=None, resilience=config,
+                    task_fn=_beat_or_fall_silent)
+    beating, silent = runner.run([RunSpec(workload="beat"),
+                                  RunSpec(workload="silent")])
+    assert beating.ok and beating.attempts == 1, beating.error
+    assert not silent.ok
+    assert "no heartbeat" in silent.error
+    assert runner.telemetry.watchdog_kills == 1
+
+
+_SUPERVISOR_PID = os.getpid()
+
+
+def _beat_or_block_supervisor(spec):
+    if spec.workload == "beat":
+        return _beat_or_fall_silent(spec)
+    if os.getpid() != _SUPERVISOR_PID:
+        raise RuntimeError("trip the breaker to serial")
+    time.sleep(2.0)          # in-process: the supervisor polls no pipe
+    return _pid_task(spec)
+
+
+def test_beats_queued_during_a_serial_attempt_count_on_receipt():
+    # While the supervisor runs the tripped spec in-process for 2 s, the
+    # other worker's beats queue up in its pipe; they must prove it alive
+    # once read, not leave it looking 2 s silent.
+    config = ResilienceConfig(heartbeat_timeout=1.0, poll_interval=0.02,
+                              breaker_threshold=1, backoff_base=0.01,
+                              backoff_max=0.02)
+    runner = Runner(jobs=2, cache=None, resilience=config,
+                    task_fn=_beat_or_block_supervisor)
+    beating, blocking = runner.run([RunSpec(workload="beat"),
+                                    RunSpec(workload="block")])
+    assert blocking.ok and blocking.metrics["resilience"]["serial"]
+    assert beating.ok and beating.attempts == 1, beating.error
+    assert runner.telemetry.watchdog_kills == 0
+
+
+def test_supervised_batch_creates_no_temp_files(tmp_path, monkeypatch):
+    # Liveness travels on the worker pipe: a batch without checkpoints
+    # leaves nothing in the temp dir, not even while it runs.
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def listing_task(spec):
+        payload = execute_spec(spec)
+        payload["metrics"] = {"tmp": sorted(os.listdir(tmp_path))}
+        return payload
+
+    specs = [RunSpec.create(name, scale="tiny", model="inorder",
+                            variant="base")
+             for name in ("mcf", "mst", "treeadd.df")]
+    results = Runner(jobs=2, cache=None, task_fn=listing_task).run(specs)
+    assert all(result.ok for result in results)
+    assert [result.metrics["tmp"] for result in results] == [[]] * 3
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
