@@ -211,12 +211,12 @@ def _run_case(seed: int, outcome: FuzzOutcome, tracer) -> None:
 
     # Differential: interpreter equality (chk.c inert) ...
     heap = workload.build_heap()
-    ref_state = FunctionalInterpreter(program, heap).run(count=False)
+    ref_state = FunctionalInterpreter(program, heap).run()
     workload.check_output(heap)
     heap = workload.build_heap()
     interp = FunctionalInterpreter(adapted, heap)
     try:
-        adapted_state = interp.run(count=False)
+        adapted_state = interp.run()
         workload.check_output(heap)
     except Exception as exc:  # noqa: BLE001
         outcome.violate("InterpDivergence", repr(exc), severity=FATAL)

@@ -15,6 +15,10 @@ engine and asserts:
   ``interp.steps`` main-thread instructions net of recovery-stub overhead
   (``main_instructions - main_stub_instructions``); stubs are the only
   legal difference a fired ``chk.c`` may introduce;
+* **the profile** — the timing run that profiled the original binary
+  counted exactly ``interp.steps`` main-thread executions, and its
+  reference digest (what the differential verify compares against) is
+  the interpreter run's :func:`repro.codegen.verify.outcome_digest`;
 * **adapted vs. unadapted** — the adapted binary's main thread computes
   the same result as the original (interpreter equality, plus the
   forced-fire :func:`repro.codegen.verify.differential_check` shadow run
@@ -32,7 +36,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..codegen.verify import _architectural_outcome, differential_check
+from ..codegen.verify import (_architectural_outcome, differential_check,
+                              outcome_digest)
 from ..isa.instructions import OP_CHK_C
 from ..isa.interp import FunctionalInterpreter
 from ..isa.program import Program
@@ -132,14 +137,25 @@ def run_oracle(name: str, scale: str = "tiny", *,
     # Interpreter runs: unadapted reference, then adapted (chk.c inert).
     heap = workload.build_heap()
     interp = FunctionalInterpreter(original, heap)
-    ref_state = interp.run(count=False)
+    ref_state = interp.run()
     workload.check_output(heap)
     ref_outcome = _architectural_outcome(ref_state)
     ref_steps = interp.steps
 
+    profile = artifacts.profile
+    counted = sum(profile.exec_counts.values())
+    result.expect(
+        "profile.counts", counted == ref_steps,
+        f"the profile counts {counted} executions, the interpreter "
+        f"{ref_steps} steps")
+    result.expect(
+        "profile.reference",
+        profile.reference_digest == outcome_digest(ref_state, heap),
+        "the profile's reference digest is not the interpreter's outcome")
+
     heap = workload.build_heap()
     interp = FunctionalInterpreter(adapted, heap)
-    adapted_state = interp.run(count=False)
+    adapted_state = interp.run()
     workload.check_output(heap)
     adapted_outcome = _architectural_outcome(adapted_state)
     adapted_steps = interp.steps

@@ -19,6 +19,7 @@ finalise time) can prove an adapted binary is well formed:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -156,10 +157,12 @@ def is_well_formed(program: Program) -> bool:
 #
 # Structural invariants prove the adapted binary is *well formed*; they do
 # not prove it computes the same thing.  The differential check runs the
-# original and the adapted programs functionally and compares the main
-# thread's architectural outcome (registers, predicates, halted state) and
-# the final heap.  Speculative work must be architecturally invisible, so
-# any divergence means the adaptation is unsound and must be rolled back.
+# adapted program functionally and compares the main thread's
+# architectural outcome (registers, predicates, halted state) and the
+# final heap with the original's — by digest when the profile carries the
+# original run's, in full otherwise.  Speculative work must be
+# architecturally invisible, so any divergence means the adaptation is
+# unsound and must be rolled back.
 
 
 @dataclass
@@ -310,24 +313,46 @@ def _architectural_outcome(state: ThreadState) -> Dict[str, Any]:
     }
 
 
+def outcome_digest(state: ThreadState, heap: Heap) -> str:
+    """sha256 of a run's outcome: what :func:`differential_check` compares.
+
+    Covers :func:`_architectural_outcome` of the final main-thread state,
+    the heap size and every nonzero heap word — zero words are dropped
+    because absent words read as 0, as :meth:`Heap.diff` treats them.
+    Two runs have equal digests exactly when ``differential_check`` would
+    find no register, predicate or heap difference between them.
+    """
+    outcome = _architectural_outcome(state)
+    words = heap._words
+    # Sorting bare int keys, then looking the values up, is about twice
+    # as fast as sorting (index, value) pairs on a default-scale heap.
+    indices = [i for i in sorted(words) if words[i]]
+    canonical = (sorted(outcome["regs"].items()),
+                 sorted(outcome["preds"]), outcome["halted"], heap.size,
+                 indices, [words[i] for i in indices])
+    return hashlib.sha256(repr(canonical).encode()).hexdigest()
+
+
 def differential_check(original: Program, adapted: Program,
                        heap_factory: Callable[[], Heap], *,
+                       reference: Optional[str] = None,
                        fire_limit: int = 8,
                        spec_step_budget: int = 4096,
                        max_chained: int = 4096) -> DifferentialReport:
     """Compare main-thread architectural outcomes of the two programs.
 
-    Both run under the :class:`ShadowInterpreter` on freshly built heaps;
-    the adapted run has every ``chk.c`` forced to fire, so p-slices really
-    execute.  Any speculative store, interpreter failure in the adapted
-    run, or divergence of registers / predicates / final heap yields a
-    non-equivalent report naming the culprit function when known.
+    The adapted program runs under the :class:`ShadowInterpreter` on a
+    freshly built heap with every ``chk.c`` forced to fire, so p-slices
+    really execute.  ``reference`` is the original run's
+    :func:`outcome_digest` (the profile's ``reference_digest``): when the
+    adapted run's digest equals it the programs are equivalent and the
+    original is not run at all.  Without a reference, or on a digest
+    mismatch, the original runs under the shadow interpreter on a second
+    heap and the two outcomes are compared in full, which names the first
+    differing heap words.  Any speculative store, interpreter failure in
+    the adapted run, or divergence of registers / predicates / final heap
+    yields a non-equivalent report naming the culprit function when known.
     """
-    ref = ShadowInterpreter(original, heap_factory(),
-                            fire_limit=fire_limit,
-                            spec_step_budget=spec_step_budget,
-                            max_chained=max_chained)
-    ref_state = ref.run()
     shadow = ShadowInterpreter(adapted, heap_factory(),
                                fire_limit=fire_limit,
                                spec_step_budget=spec_step_budget,
@@ -355,6 +380,18 @@ def differential_check(original: Program, adapted: Program,
             spawned_threads=shadow.spawned_threads,
             killed_by_budget=shadow.killed_by_budget)
 
+    if reference is not None and \
+            outcome_digest(adapted_state, shadow.heap) == reference:
+        return DifferentialReport(
+            equivalent=True,
+            spawned_threads=shadow.spawned_threads,
+            killed_by_budget=shadow.killed_by_budget)
+
+    ref = ShadowInterpreter(original, heap_factory(),
+                            fire_limit=fire_limit,
+                            spec_step_budget=spec_step_budget,
+                            max_chained=max_chained)
+    ref_state = ref.run()
     mismatches = ref.heap.diff(shadow.heap)
     if mismatches:
         return DifferentialReport(

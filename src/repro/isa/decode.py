@@ -11,8 +11,8 @@ Four loops step the table with :func:`step_decoded`:
 
 * the in-order simulator's cycle loop (``repro.sim.inorder``);
 * the OOO simulator's cycle loop (``repro.sim.ooo``);
-* :class:`~repro.isa.interp.FunctionalInterpreter`, the profile's
-  execution-count pass;
+* :class:`~repro.isa.interp.FunctionalInterpreter`, the architectural
+  reference of the cross-model oracle and the fuzzer;
 * :class:`~repro.codegen.verify.ShadowInterpreter`, the differential
   verify's main and speculative threads.
 

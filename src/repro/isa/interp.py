@@ -104,9 +104,10 @@ class FunctionalInterpreter:
     """Timing-free whole-program execution.
 
     Used by workload unit tests to validate program semantics and by the
-    block/call-graph profilers.  Runs a single thread; ``chk.c`` never fires
-    and ``spawn`` is ignored (a spawn with no free context is dropped, and
-    functionally a p-slice has no architectural effect anyway).
+    cross-model oracle and fuzzer as the architectural reference.  Runs a
+    single thread; ``chk.c`` never fires and ``spawn`` is ignored (a spawn
+    with no free context is dropped, and functionally a p-slice has no
+    architectural effect anyway).
 
     Steps the pre-decoded table of :mod:`repro.isa.decode` with
     :func:`~repro.isa.decode.step_decoded`, the same per-instruction
@@ -120,40 +121,24 @@ class FunctionalInterpreter:
         self.program = program
         self.heap = heap
         self.max_steps = max_steps
-        self.exec_counts: Dict[int, int] = {}
-        self.indirect_targets: Dict[int, Dict[str, int]] = {}
         self.steps = 0
 
-    def run(self, count: bool = True) -> ThreadState:
+    def run(self) -> ThreadState:
         """Run from the program entry until halt; returns the final state."""
         # decode imports this module, so it is imported here.
-        from .decode import (D_KIND, D_SRC0, D_UID, K_CALLI, decode_program,
-                             step_decoded)
+        from .decode import decode_program, step_decoded
         program = self.program
         heap = self.heap
         dcode = decode_program(program)
         state = ThreadState(tid=0,
                             pc=program.function_entry[program.entry])
-        counts = self.exec_counts
-        indirect = self.indirect_targets
-        function_by_id = program.function_by_id
         max_steps = self.max_steps
         steps = 0
         while not (state.halted or state.killed):
             if steps >= max_steps:
                 raise ExecutionError(
                     f"exceeded {max_steps} steps; infinite loop?")
-            d = dcode[state.pc]
-            if count:
-                uid = d[D_UID]
-                counts[uid] = counts.get(uid, 0) + 1
-            if d[D_KIND] == K_CALLI:
-                fid = state.regs.get(d[D_SRC0], 0)
-                if 0 <= fid < len(function_by_id):
-                    per_site = indirect.setdefault(d[D_UID], {})
-                    name = function_by_id[fid]
-                    per_site[name] = per_site.get(name, 0) + 1
-            step_decoded(program, heap, state, d)
+            step_decoded(program, heap, state, dcode[state.pc])
             steps += 1
         self.steps += steps
         return state

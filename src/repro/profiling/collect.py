@@ -4,22 +4,22 @@
 pass, we use the profiling information collected from running the original
 binary to enhance the binary for SSP."
 
-Two profiling runs are made:
+One profiling run is made: a timing run on the baseline in-order model
+(``chk.c`` disabled).  It yields the cache profile and the baseline cycle
+count, the main thread's exact per-instruction execution counts and the
+dynamic call graph of indirect calls, and the digest of the run's final
+main-thread state and heap, against which the differential verify checks
+the adapted binary.
 
-1. a timing run on the baseline in-order model (``chk.c`` disabled) for the
-   cache profile and the baseline cycle count, and
-2. a functional run for exact per-instruction execution counts and the
-   dynamic call graph of indirect calls.
-
-Both runs need their own freshly initialised heap (programs mutate their
-data), which is why the API takes a ``heap_factory``.
+The run needs a freshly initialised heap (programs mutate their data),
+which is why the API takes a ``heap_factory``.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..isa.interp import FunctionalInterpreter
+from ..codegen.verify import outcome_digest
 from ..isa.memory import Heap
 from ..isa.program import Program
 from ..sim.config import MachineConfig, inorder_config
@@ -38,14 +38,12 @@ def collect_profile(program: Program,
     sim = InOrderSimulator(program, heap_factory(), config, spawning=False)
     stats = sim.run()
 
-    interp = FunctionalInterpreter(program, heap_factory())
-    interp.run()
-
     return ProgramProfile(
         program=program,
         load_stats=dict(sim.memory.load_stats),
-        exec_counts=dict(interp.exec_counts),
-        indirect_targets=dict(interp.indirect_targets),
+        exec_counts=sim.exec_counts(),
+        indirect_targets=sim.indirect_targets,
         baseline_cycles=stats.cycles,
         l1_latency=config.l1.latency,
+        reference_digest=outcome_digest(sim.main_state, sim.heap),
     )

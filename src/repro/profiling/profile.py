@@ -9,7 +9,10 @@ A :class:`ProgramProfile` bundles everything the post-pass tool consumes:
   control-flow speculative slicing and trip-count estimation,
 * the **dynamic call graph** for indirect call sites ("we instrument all
   the indirect procedural calls to capture the call graph during
-  profiling").
+  profiling"),
+* the **reference digest** of the profiled run's final main-thread state
+  and heap (:func:`repro.codegen.verify.outcome_digest`), which the
+  differential verify compares the adapted binary's run against.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ class ProgramProfile:
                  exec_counts: Dict[int, int],
                  indirect_targets: Dict[int, Dict[str, int]],
                  baseline_cycles: int,
-                 l1_latency: int = 2):
+                 l1_latency: int = 2,
+                 reference_digest: Optional[str] = None):
         self.program = program
         self.load_stats = load_stats
         self.exec_counts = exec_counts
         self.indirect_targets = indirect_targets
         self.baseline_cycles = baseline_cycles
         self.l1_latency = l1_latency
+        self.reference_digest = reference_digest
         self.block_freq: Dict[str, Dict[str, int]] = {}
         for name, func in program.functions.items():
             freqs: Dict[str, int] = {}

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 from ..isa.decode import (
     D_READS,
+    D_UID,
     K_ALU,
     K_BR,
     K_BRC,
@@ -165,6 +166,17 @@ class InOrderSimulator:
         # of re-initialising the main context).
         self._now = 0
         self._started = False
+        # Main-thread execution profile (the tool's block profile and
+        # dynamic call graph; kept off SimStats).  The main thread issues
+        # runs of consecutive pcs, each ended by a taken jump.
+        # ``_run_diff`` is a per-pc difference array of the closed runs
+        # (+1 at the first pc, -1 one past the last), so a prefix sum
+        # (:meth:`exec_counts`) yields per-instruction counts at one
+        # update per run; ``_run_start`` is the open run's first pc.
+        self._run_diff: List[int] = [0] * (len(program.code) + 1)
+        self._run_start = 0
+        #: indirect call site uid -> {callee name: calls}, main thread.
+        self.indirect_targets: Dict[int, Dict[str, int]] = {}
         # Cycle-attribution profiler (repro.obs.profiler).  With no
         # profiler attached, ``_prof_next`` is a far-future sentinel and
         # the run loop's profiling gate is one always-false int compare.
@@ -195,7 +207,7 @@ class InOrderSimulator:
         "heap", "memory", "predictor", "stats", "contexts", "main_state",
         "_main_misses", "_next_tid", "_rr", "_context_waiters",
         "_chk_fires", "_chk_partials_at_first", "_chk_suppressed",
-        "_now", "_started",
+        "_now", "_started", "_run_diff", "_run_start", "indirect_targets",
     )
 
     @property
@@ -268,6 +280,49 @@ class InOrderSimulator:
                     heapq.heappush(self._spec_deadlines,
                                    ctx.spawn_cycle + budget)
 
+    # -- main-thread execution profile ---------------------------------------------
+
+    def exec_counts(self) -> Dict[int, int]:
+        """Main-thread executions per instruction uid (executed ones only).
+
+        Counts every issued main-thread instruction, squashed and stub
+        instructions included, so the counts sum to
+        ``stats.main_instructions``.
+        """
+        counts: Dict[int, int] = {}
+        if not self._started:
+            return counts
+        # Close the open run: it ends before the next pc to issue, or at
+        # the halting instruction.
+        diff = list(self._run_diff)
+        state = self.main_state
+        diff[self._run_start] += 1
+        diff[state.pc + 1 if state.halted else state.pc] -= 1
+        dcode = self._dcode
+        n = 0
+        for pc, delta in enumerate(diff[:-1]):
+            n += delta
+            if n:
+                uid = dcode[pc][D_UID]
+                counts[uid] = counts.get(uid, 0) + n
+        return counts
+
+    def _jumped(self, last_pc: int, target: int) -> None:
+        """Close the main thread's run at ``last_pc``, which jumped to
+        ``target``; the next run opens there."""
+        diff = self._run_diff
+        diff[self._run_start] += 1
+        diff[last_pc + 1] -= 1
+        self._run_start = target
+
+    def _record_indirect(self, uid: int, fid: int) -> None:
+        """Count one main-thread indirect call to function id ``fid``."""
+        function_by_id = self.program.function_by_id
+        if 0 <= fid < len(function_by_id):
+            per_site = self.indirect_targets.setdefault(uid, {})
+            name = function_by_id[fid]
+            per_site[name] = per_site.get(name, 0) + 1
+
     @property
     def main_done(self) -> bool:
         """True once the main thread has halted (or been killed)."""
@@ -282,6 +337,7 @@ class InOrderSimulator:
         #: compares it across execution engines after :meth:`run`).
         self.main_state = main_state
         self.contexts[0] = HWThread(main_state)
+        self._run_start = main_state.pc
         self._now = 0
         self._started = True
 
@@ -351,8 +407,8 @@ class InOrderSimulator:
 
     # -- issue, accounting and the run loop --------------------------------------
 
-    def _issue_thread_fast(self, thread: HWThread, budget: int, now: int,
-                           res: _Resources) -> int:
+    def _issue_thread(self, thread: HWThread, budget: int, now: int,
+                      res: _Resources) -> int:
         """Issue up to ``budget`` instructions from ``thread`` at ``now``.
 
         Returns the number issued.  Updates scoreboard, caches, predictor,
@@ -362,6 +418,10 @@ class InOrderSimulator:
         counters, scoreboard/latency updates and control flow are a
         single branch per kind, and the per-instruction counters and unit
         pools accumulate in locals that flush once per call.
+
+        Every taken jump of the main thread closes its run of
+        consecutive pcs in the execution-count difference array
+        (:meth:`_jumped`); sequential issue records nothing.
         """
         program = self.program
         dcode = self._dcode
@@ -496,6 +556,10 @@ class InOrderSimulator:
                         thread.wake = thread.stall_until
                         break
                 elif K_BR <= kind <= K_RET:
+                    # The call graph records a squashed indirect call's
+                    # target too.
+                    if kind == K_CALLI and is_main:
+                        self._record_indirect(d[13], rd.get(d[3], 0))
                     break
                 elif kind == K_CHK:
                     stats.chk_ignored += 1
@@ -596,6 +660,8 @@ class InOrderSimulator:
                 issued += 1
                 if rfi_stack:
                     n_stub += 1
+                if is_main:
+                    self._jumped(pc, d[11])
                 penalty = predictor.predict_and_update(pc, state.tid, True)
                 if penalty < 0:
                     stats.mispredicts += 1
@@ -612,6 +678,8 @@ class InOrderSimulator:
                 issued += 1
                 if rfi_stack:
                     n_stub += 1
+                if is_main:
+                    self._jumped(pc, d[11])
                 break
 
             if kind == K_ST:
@@ -652,6 +720,8 @@ class InOrderSimulator:
                 issued += 1
                 if rfi_stack:
                     n_stub += 1
+                if is_main:
+                    self._jumped(pc, d[11])
                 break
 
             if kind == K_RET:
@@ -663,6 +733,8 @@ class InOrderSimulator:
                     state.regs = saved
                     rd = saved
                     state.pc = ret_pc
+                    if is_main:
+                        self._jumped(pc, ret_pc)
                 issued += 1
                 if rfi_stack:
                     n_stub += 1
@@ -670,10 +742,14 @@ class InOrderSimulator:
 
             if kind == K_CALLI:
                 fid = rd.get(d[3], 0)
+                if is_main:
+                    self._record_indirect(d[13], fid)
                 if 0 <= fid < len(program.function_by_id):
                     state.call_stack.append((pc + 1, dict(rd)))
                     state.pc = program.function_entry[
                         program.function_by_id[fid]]
+                    if is_main:
+                        self._jumped(pc, state.pc)
                 elif state.speculative:
                     state.killed = True
                 else:
@@ -689,6 +765,8 @@ class InOrderSimulator:
                 if chk_fires:
                     rfi_stack.append(pc + 1)
                     state.pc = d[11]
+                    if is_main:
+                        self._jumped(pc, d[11])
                 else:
                     state.pc = pc + 1
                 issued += 1
@@ -712,6 +790,8 @@ class InOrderSimulator:
                 state.pc = rfi_stack.pop()
                 issued += 1
                 n_stub += 1
+                if is_main:
+                    self._jumped(pc, state.pc)
                 continue  # rfi does not end the fetch group
 
             if kind == K_SPAWN:
@@ -778,8 +858,8 @@ class InOrderSimulator:
                 thread.spec_issued = spec_base + issued
         return issued
 
-    def _main_category_fast(self, main: HWThread, issued_main: int,
-                            now: int) -> str:
+    def _main_category(self, main: HWThread, issued_main: int,
+                       now: int) -> str:
         """Figure 10 category of the main thread's cycle at ``now``."""
         misses = self._main_misses
         while misses and misses[0] <= now:
@@ -860,7 +940,7 @@ class InOrderSimulator:
         res = _Resources(config)
         rr = self._rr
         prof_next = self._prof_next
-        issue = self._issue_thread_fast
+        issue = self._issue_thread
         deadlines = self._spec_deadlines
         # Force a full reap pass on the first iteration: a restored
         # snapshot (or a resumed run) may hold dead-but-unreaped
@@ -992,13 +1072,13 @@ class InOrderSimulator:
                 t_prof = prof.lap("issue", t_prof)
 
             if issued_main:
-                # Inline _main_category_fast's issuing arm (the common
+                # Inline _main_category's issuing arm (the common
                 # case): drain expired misses, charge CacheExec/Exec.
                 while main_misses and main_misses[0] <= now:
                     heappop(main_misses)
                 breakdown["CacheExec" if main_misses else "Exec"] += 1
             else:
-                breakdown[self._main_category_fast(main, 0, now)] += 1
+                breakdown[self._main_category(main, 0, now)] += 1
             if prof is not None:
                 prof.lap("account", t_prof)
                 self._prof_next = prof_next = prof.sample(
@@ -1037,7 +1117,7 @@ class InOrderSimulator:
                 wake = now + 1
             skip = wake - now - 1
             if skip > 0:
-                breakdown[self._main_category_fast(main, 0, now)] += skip
+                breakdown[self._main_category(main, 0, now)] += skip
             now = wake
 
         self._rr = rr
@@ -1085,7 +1165,8 @@ class InOrderSimulator:
         try:
             while n < max_instructions \
                     and not (state.halted or state.killed):
-                d = dcode[state.pc]
+                pc = state.pc
+                d = dcode[pc]
                 in_stub = bool(state.rfi_stack)
                 if d[0] == K_CHK and spawning:
                     # Warm the stub's spawns on a scratch clone; the main
@@ -1094,7 +1175,11 @@ class InOrderSimulator:
                     # common (no-free-context) case.
                     warm_chk(program, heap, memory, dcode, state,
                              d[11], int(clock))
+                elif d[0] == K_CALLI:
+                    self._record_indirect(d[13], state.regs.get(d[3], 0))
                 result = step_decoded(program, heap, state, d, False)
+                if state.pc != pc + 1 and not state.halted:
+                    self._jumped(pc, state.pc)
                 n += 1
                 clock += cpi
                 stats.main_instructions += 1

@@ -456,7 +456,7 @@ class OOOSimulator:
                         breakdown["CacheExec" if main_misses
                                   else "Exec"] += 1
                         if gap > 1:
-                            breakdown[self._gap_cause_fast(thread, d)] += \
+                            breakdown[self._gap_cause(thread, d)] += \
                                 gap - 1
 
                 # Control-flow consequences for fetch.
@@ -539,7 +539,7 @@ class OOOSimulator:
                 for cycle in [c for c in pool if c < horizon]:
                     del pool[cycle]
 
-    def _gap_cause_fast(self, thread: _OOOThread, d) -> str:
+    def _gap_cause(self, thread: _OOOThread, d) -> str:
         """Attribute a retire gap to a Figure 10 category."""
         kind = d[0]
         if kind == K_LD:

@@ -331,7 +331,8 @@ class SSPPostPassTool:
                 heap_factory is not None:
             with tracer.span("verify") as sp:
                 emitted = self._verify_and_rollback(
-                    program, emitted, result, heap_factory)
+                    program, emitted, result, heap_factory,
+                    profile.reference_digest)
                 sp.set(rollbacks=len(report.rollbacks),
                        equivalent=result.adapted is not None)
         return emitted
@@ -389,10 +390,13 @@ class SSPPostPassTool:
                              placements: List[Tuple[ScheduledSlice,
                                                     list]],
                              result: ToolResult,
-                             heap_factory: Callable[[], Heap]
+                             heap_factory: Callable[[], Heap],
+                             reference: Optional[str]
                              ) -> List[Tuple[ScheduledSlice, list]]:
         """Differential check + per-function rollback loop.
 
+        ``reference`` is the profile's digest of the original run, so
+        each iteration runs only the adapted binary unless it diverges.
         Re-emission always starts from the pristine original, so a
         rolled-back function is byte-identical to the unadapted input by
         construction.
@@ -402,7 +406,7 @@ class SSPPostPassTool:
         remaining = list(placements)
         for _ in range(len(placements) + 1):
             diff = differential_check(program, result.adapted.program,
-                                      heap_factory)
+                                      heap_factory, reference=reference)
             tracer.event("differential_check", category="verify",
                          **diff.to_dict())
             if diff.equivalent:

@@ -193,6 +193,19 @@ class TestOracle:
         assert result.ok, result.summary()
         # All engines agree on net retired main-thread instructions.
         assert len(set(result.retired.values())) == 1, result.retired
+        assert {"profile.counts", "profile.reference"} <= \
+            set(result.checks)
+
+    def test_wrong_profile_fails_the_profile_checks(self):
+        artifacts = WorkloadArtifacts("mcf", "tiny")
+        assert artifacts.tool_result.adapted is not None
+        profile = artifacts.profile
+        profile.reference_digest = "0" * 64
+        uid = next(iter(profile.exec_counts))
+        profile.exec_counts[uid] += 1
+        result = run_oracle("mcf", "tiny", artifacts=artifacts)
+        assert {f.split(":")[0] for f in result.failures} == \
+            {"profile.counts", "profile.reference"}
 
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_parity_with_spec_budgets(self, name):

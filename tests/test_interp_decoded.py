@@ -1,20 +1,26 @@
 """The tool's functional interpreters against the ``execute`` step loops.
 
-:class:`~repro.isa.interp.FunctionalInterpreter` (the profile's
-execution-count pass) and :class:`~repro.codegen.verify.ShadowInterpreter`
-(the differential verify) walk the pre-decoded table with
-``step_decoded``.  The two reference classes below keep the loops they
-replaced, which step ``Instruction`` objects through ``execute`` (from
-``tests/reference_sim.py``); this module checks that both interpreters
-agree with them:
+:class:`~repro.isa.interp.FunctionalInterpreter` and
+:class:`~repro.codegen.verify.ShadowInterpreter` (the differential verify)
+walk the pre-decoded table with ``step_decoded``.  The two reference
+classes below keep the loops they replaced, which step ``Instruction``
+objects through ``execute`` (from ``tests/reference_sim.py``); this module
+checks that both interpreters agree with them:
 
 * on the fuzz corpus of ``tests/test_sim_fastpath.py``, original and
-  adapted binaries: final registers, predicates, heap words,
-  ``exec_counts``, ``indirect_targets`` and ``steps``; for the shadow
-  interpreter also the spawn, budget-kill and ``chk.c`` fire counts;
+  adapted binaries: final registers, predicates, heap words and
+  ``steps``; for the shadow interpreter also the spawn, budget-kill and
+  ``chk.c`` fire counts;
 * on a program with indirect calls (no workload makes one);
 * on the error paths: exception class, message and culprit function;
 * when the speculative step budget and the chain cap fire.
+
+``ReferenceFunctional`` also keeps the per-instruction counting the
+profile's functional pass once did: ``collect_profile``'s execution
+counts, indirect-call targets and reference digest, all recorded by its
+one in-order timing run, must equal it on every paper workload at
+``tiny`` and ``small``, on the fuzz corpus and on the indirect-call
+program.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from __future__ import annotations
 import pytest
 from reference_sim import execute
 
-from repro import SSPPostPassTool, collect_profile
+from repro import (PAPER_ORDER, SSPPostPassTool, collect_profile,
+                   make_workload)
 from repro.check.fuzz import FuzzWorkload
-from repro.codegen.verify import ShadowInterpreter, SpeculativeEffectError
+from repro.codegen.verify import (ShadowInterpreter, SpeculativeEffectError,
+                                  outcome_digest)
 from repro.isa import (
     ExecutionError,
     FunctionalInterpreter,
@@ -40,9 +48,20 @@ FUZZ_SEEDS = tuple(range(25))
 
 
 class ReferenceFunctional(FunctionalInterpreter):
-    """The ``execute`` step loop :class:`FunctionalInterpreter` replaced."""
+    """The ``execute`` step loop :class:`FunctionalInterpreter` replaced.
 
-    def run(self, count: bool = True) -> ThreadState:
+    It keeps the per-instruction counting of the profile's old functional
+    pass — ``exec_counts`` per uid and ``indirect_targets`` per call site,
+    a predicated-off indirect call included — as the oracle for the counts
+    the in-order timing run records for ``collect_profile``.
+    """
+
+    def __init__(self, program: Program, heap: Heap, **kwargs):
+        super().__init__(program, heap, **kwargs)
+        self.exec_counts = {}
+        self.indirect_targets = {}
+
+    def run(self) -> ThreadState:
         program = self.program
         state = ThreadState(tid=0,
                             pc=program.function_entry[program.entry])
@@ -54,9 +73,8 @@ class ReferenceFunctional(FunctionalInterpreter):
                 raise ExecutionError(
                     f"exceeded {self.max_steps} steps; infinite loop?")
             instr = code[state.pc]
-            if count:
-                uid = instr.uid
-                counts[uid] = counts.get(uid, 0) + 1
+            uid = instr.uid
+            counts[uid] = counts.get(uid, 0) + 1
             if instr.op == "br.call.ind":
                 fid = state.regs.get(instr.srcs[0], 0)
                 if 0 <= fid < len(program.function_by_id):
@@ -133,13 +151,26 @@ def _state(state: ThreadState, heap: Heap) -> dict:
 def _functional(cls, program, heap_factory, **kwargs) -> dict:
     interp = cls(program, heap_factory(), **kwargs)
     first = _state(interp.run(), interp.heap)
-    # A second, uncounted run over the same heap: steps accumulate,
-    # exec_counts do not.
-    second = _state(interp.run(count=False), interp.heap)
-    return {"first": first, "second": second,
-            "exec_counts": interp.exec_counts,
+    # A second run over the same heap: steps accumulate.
+    second = _state(interp.run(), interp.heap)
+    return {"first": first, "second": second, "steps": interp.steps}
+
+
+def _profile_counts(program, heap_factory) -> dict:
+    """What ``collect_profile``'s one timing run recorded."""
+    profile = collect_profile(program, heap_factory)
+    return {"exec_counts": profile.exec_counts,
+            "indirect_targets": profile.indirect_targets,
+            "reference": profile.reference_digest}
+
+
+def _reference_counts(program, heap_factory) -> dict:
+    """The same, from the ``execute`` loop's per-instruction counting."""
+    interp = ReferenceFunctional(program, heap_factory())
+    state = interp.run()
+    return {"exec_counts": interp.exec_counts,
             "indirect_targets": interp.indirect_targets,
-            "steps": interp.steps}
+            "reference": outcome_digest(state, interp.heap)}
 
 
 def _shadow(cls, program, heap_factory, **kwargs) -> dict:
@@ -182,6 +213,24 @@ def test_functional_matches_reference_on_fuzz_corpus(fuzz_corpus):
             got = _functional(FunctionalInterpreter, prog, w.build_heap)
             want = _functional(ReferenceFunctional, prog, w.build_heap)
             assert got == want, seed
+
+
+def test_profile_counts_match_reference_on_fuzz_corpus(fuzz_corpus):
+    # Adapted binaries too: chk.c never fires in either run.
+    for seed, w, program, adapted in fuzz_corpus:
+        for prog in (program, adapted or program):
+            assert _profile_counts(prog, w.build_heap) == \
+                _reference_counts(prog, w.build_heap), seed
+
+
+@pytest.mark.parametrize("scale", ("tiny", "small"))
+@pytest.mark.parametrize("name", PAPER_ORDER)
+def test_profile_counts_match_reference_on_workloads(name, scale):
+    w = make_workload(name, scale)
+    program = w.build_program()
+    got = _profile_counts(program, w.build_heap)
+    assert got == _reference_counts(program, w.build_heap)
+    assert got["exec_counts"]
 
 
 def test_shadow_matches_reference_on_fuzz_corpus(fuzz_corpus):
@@ -301,11 +350,16 @@ def test_functional_matches_reference_on_indirect_calls():
     got = _functional(FunctionalInterpreter, prog, lambda: Heap(1 << 14))
     want = _functional(ReferenceFunctional, prog, lambda: Heap(1 << 14))
     assert got == want
-    # Both sites are recorded, the predicated-off one included, on the
-    # uncounted second run too.
-    assert sorted(sorted(t.items()) for t in got["indirect_targets"].values()) \
-        == [[("f1", 8), ("f2", 6)], [("f1", 8), ("f2", 6)]]
     assert got["first"]["regs"]["r51"] == 4 * 3 + 3 * 5
+
+
+def test_profile_counts_match_reference_on_indirect_calls():
+    prog = _indirect_program()
+    got = _profile_counts(prog, lambda: Heap(1 << 14))
+    assert got == _reference_counts(prog, lambda: Heap(1 << 14))
+    # Both sites are recorded, the predicated-off one included.
+    assert sorted(sorted(t.items()) for t in got["indirect_targets"].values()) \
+        == [[("f1", 4), ("f2", 3)], [("f1", 4), ("f2", 3)]]
 
 
 def test_shadow_matches_reference_on_scan():

@@ -13,6 +13,8 @@ from repro.isa import (
 )
 from repro.isa.decode import decode_program, step_decoded
 from repro.isa.instructions import Instruction
+from repro.isa.memory import HEAP_BASE
+from repro.profiling import collect_profile
 
 from helpers import linked_list_heap, list_sum_program
 
@@ -187,8 +189,14 @@ class TestControlFlow:
         for name, value in (("f1", 111), ("f2", 222)):
             g = FunctionBuilder(prog.add_function(name))
             g.ret(g.mov_imm(value))
-        heap = Heap(1 << 14)
-        cell = heap.alloc(8)
+
+        def make_heap():
+            heap = Heap(1 << 14)
+            heap.alloc(8)
+            return heap
+
+        heap = make_heap()
+        cell = HEAP_BASE  # make_heap's one allocation
         m = FunctionBuilder(prog.add_function("main"))
         prog.finalize()  # to learn ids
         fid = prog.function_id["f2"]
@@ -198,11 +206,11 @@ class TestControlFlow:
         m.store(m.mov_imm(cell), r)
         m.halt()
         prog.finalize()
-        interp = FunctionalInterpreter(prog, heap)
-        interp.run()
+        FunctionalInterpreter(prog, heap).run()
         assert heap.load(cell) == 222
-        # The dynamic call graph recorded the indirect target.
-        (targets,) = interp.indirect_targets.values()
+        # The profile's dynamic call graph recorded the indirect target.
+        (targets,) = collect_profile(prog, make_heap) \
+            .indirect_targets.values()
         assert targets == {"f2": 1}
 
     def test_return_from_outermost_frame_halts(self):
@@ -335,9 +343,8 @@ class TestSSPOpcodes:
 
 class TestProfiling:
     def test_exec_counts(self):
-        heap, addrs, out = linked_list_heap(10)
+        _, addrs, out = linked_list_heap(10)
         prog = list_sum_program(addrs[0], out)
-        interp = FunctionalInterpreter(prog, heap)
-        interp.run()
+        profile = collect_profile(prog, lambda: linked_list_heap(10)[0])
         loop_loads = [i for i in prog.code if i.op == "ld"]
-        assert all(interp.exec_counts[ld.uid] == 10 for ld in loop_loads)
+        assert all(profile.exec_counts[ld.uid] == 10 for ld in loop_loads)
